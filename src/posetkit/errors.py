@@ -38,6 +38,11 @@ class NotTwoDimensional(PosetkitError):
     """The poset admits no realizer by two linear orders."""
 
 
+class ContractViolation(PosetkitError):
+    """An internal invariant of a computation failed; the result would be
+    wrong, so none is returned."""
+
+
 class CapExceeded(PosetkitError):
     """An enumeration grew past the configured cap."""
 

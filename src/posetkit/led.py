@@ -9,11 +9,19 @@ checked up front and SeparatingExtension raised otherwise.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from .errors import IndexOutOfRange, SeparatingExtension
+from .errors import ContractViolation, IndexOutOfRange, SeparatingExtension
 from .poset import Poset, _bits, induced
 from .realizer import _require_extension, is_non_separating, realizer
+
+
+def _quarter(num: int) -> int:
+    """num / 4 for a count that the theory makes divisible by 4."""
+    if num % 4:
+        raise ContractViolation(f"count {num} is not divisible by 4")
+    return num // 4
 
 
 def led_boolean(n: int) -> int:
@@ -21,9 +29,7 @@ def led_boolean(n: int) -> int:
     of an n-element set: 2^(2n-2) - (n+1) * 2^(n-2)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    num = (1 << (2 * n)) - (n + 1) * (1 << n)
-    assert num % 4 == 0
-    return num // 4
+    return _quarter((1 << (2 * n)) - (n + 1) * (1 << n))
 
 
 def led_chain_union(lengths: Sequence[int]) -> int:
@@ -43,14 +49,12 @@ def led_chain_union(lengths: Sequence[int]) -> int:
             if i != k:
                 term *= m + 1
         mid += term
-    num = prod * prod - mid - prod
-    assert num % 4 == 0
-    return num // 4
+    return _quarter(prod * prod - mid - prod)
 
 
 class _Engine:
-    """Per-(P, sigma) context: position-space masks, the antichain-count DP
-    memoized by subset mask, and the full delta table."""
+    """Per-(P, sigma) context: position-space masks, the antichain-count
+    sweeps along sigma, and the full delta table."""
 
     def __init__(self, P: Poset, sigma: Sequence[int]):
         if not is_non_separating(P, sigma):
@@ -75,44 +79,29 @@ class _Engine:
         self.up = up
         self.down = down
         self.inc = inc
-        self._a = {0: 1}
         self._tables = None
 
-    def a(self, mask: int) -> int:
-        """Number of antichains (empty one included) of the subposet induced
-        by the positions in mask, sigma order restricted to the subset."""
-        v = self._a.get(mask)
-        if v is not None:
-            return v
-        inc = self.inc
-        vals = {}
-        total = 1
-        m = mask
-        while m:
-            low = m & -m
-            p = low.bit_length() - 1
-            m ^= low
-            s = 1
-            mm = inc[p] & mask & (low - 1)
-            while mm:
-                l2 = mm & -mm
-                s += vals[l2.bit_length() - 1]
-                mm ^= l2
-            vals[p] = s
-            total += s
-        self._a[mask] = total
-        return total
+    def sweep(self, mask: int, backward: bool = False) -> list:
+        """One pass of the antichain DP over the positions in mask.
 
-    def element_counts(self) -> list:
-        """The per-position a(x_p) values: antichains whose sigma-largest
-        member sits at position p."""
+        vals[p] counts the antichains of the subposet on mask whose
+        sigma-last member (sigma-first when backward) is x_p, so a(mask) is
+        1 + sum(vals); vals is 0 off mask.  Summing vals over a prefix
+        (suffix when backward) of mask counts the antichains of that prefix
+        (suffix)."""
         inc = self.inc
-        vals = []
-        for p in range(self.n):
+        vals = [0] * self.n
+        order = list(_bits(mask))
+        if backward:
+            order.reverse()
+        for p in order:
+            m = inc[p] & mask & (-(2 << p) if backward else (1 << p) - 1)
             s = 1
-            for q in _bits(inc[p] & ((1 << p) - 1)):
-                s += vals[q]
-            vals.append(s)
+            while m:
+                low = m & -m
+                s += vals[low.bit_length() - 1]
+                m ^= low
+            vals[p] = s
         return vals
 
     def size_rows(self) -> list:
@@ -131,63 +120,124 @@ class _Engine:
             rows.append(row)
         return rows
 
-    def right_mask(self, k: int, l: int) -> int:
-        return self.inc[k] & ~((1 << (l + 1)) - 1)
-
     def tables(self) -> tuple:
-        """delta1, delta2 and their sum for every position pair (k, l) with
-        x_k below x_l, keyed 0-based, evaluated in increasing l so every
-        reference to a smaller l is already present.
+        """Rows d1, d2, dd with d1[k][l] = delta1, d2[k][l] = delta2 and
+        dd[k][l] = their sum for 0-based positions k, l; entries with x_k
+        not below x_l are 0.
 
         delta1(k, l) counts the configurations whose only maximum is x_l:
-        pick the sigma-least minimum x_i, fill in further minima between x_i
-        and x_k from P_{i,k,l}, and attach a side antichain left of x_i that
-        is incomparable to x_l.
+        pick the sigma-least minimum x_i (i == k or x_i || x_k), fill in
+        further minima between x_i and x_k from P_{i,k,l}, and attach a side
+        antichain left of x_i that is incomparable to x_l.
 
         delta2(k, l) handles configurations with extra maxima besides x_l.
         Dropping x_l together with the minima that sit sigma-after the
         second-largest maximum x_l' leaves a smaller configuration of the
-        same shape.  Two cases by the position of x_l': after x_k, the
-        smaller configuration keeps the same k (its dropped minima sit after
-        l', hence are none beyond those counted there); before x_k, the
-        smaller configuration ends at some k' < l' and the dropped minima
-        are x_k itself plus any antichain of W, the part of P_{k',k,l}
-        past x_l'.
+        same shape.  Two cases by the position of x_l': after x_k (case A),
+        the smaller configuration keeps the same k, giving dd(k, l'); before
+        x_k (case B), it ends at some k' < l' and the dropped minima are x_k
+        itself plus any antichain of W, the part of P_{k',k,l} past x_l',
+        giving dd(k', l') * a(W).
+
+        Every a(.) comes from a sweep (see `sweep`), by four facts that
+        follow from sigma being non-separating:
+
+        1. The conjugate order sigma_bar (P, plus sigma reversed on
+           incomparable pairs) is a linear extension; position p has rank
+           |down[p]| + |inc[p] after p| in it.  For p before q in sigma,
+           x_p < x_q iff p comes first in sigma_bar, and x_p || x_q iff p
+           comes last.
+        2. W = (l', k) & inc[k] & inc[k'] & down[l] loses its down[l]: an
+           x_j sigma-between x_k' < x_l with x_j || x_k' is below x_l.  So
+           a(W) does not depend on l, and for fixed (k', k) one backward
+           sweep over S = (k', k) & inc[k] & inc[k'] gives it for every l'
+           as a suffix sum.  The sweep's counts depend on k alone (a later
+           member of an antichain starting in S stays in S), so one sweep
+           over inc[k] before k serves every k'.
+        3. Likewise P_{i,k,l} = (i, k) & inc[i] & inc[k]: its count is the
+           full sum of fact 2's sweep with k' = i.  The side count
+           a(prefix(i) & inc[l]) is a prefix sum of the forward sweep over
+           all of P (an antichain ending in inc[l] before x_l lies there),
+           one pass per l; the final sum's a(inc[k] after l) is a suffix
+           sum of the backward sweep, one pass per k.
+        4. Case B's filters x_l' || x_l and x_k' < x_l read, by fact 1,
+           sbar(k') < sbar(l) < sbar(l'); so for fixed k each (k', l')
+           term adds to one interval of sigma_bar ranks, and one
+           difference array gives case B for the whole row.  Rows are
+           filled in increasing k and, within a row, increasing l, so
+           every dd they read is final.  Only k' below some x_l above x_k
+           can contribute and are visited.
+
+        The sweep of fact 2 costs O(n^2) per k, its suffix sums O(k - k')
+        per pair, delta1 O(|inc[k]|) and case A O(|up[k]|) per (k, l): the
+        tables take O(n^3) big-integer additions and multiplications in
+        all, and O(n^2) memory.
         """
         if self._tables is not None:
             return self._tables
         n = self.n
         up, down, inc = self.up, self.down, self.inc
-        a = self.a
-        d1 = {}
-        d2 = {}
-        dd = {}
+        sbar = [down[p].bit_count() + (inc[p] >> (p + 1)).bit_count() for p in range(n)]
+        if sorted(sbar) != list(range(n)):
+            raise ContractViolation("conjugate ranks of sigma are not a permutation")
+        ends = self.sweep((1 << n) - 1)
+        # left[l][i] = a(prefix(i) & inc[l]) for i < l
+        left = []
         for l in range(n):
-            dmask = down[l]
-            incl = inc[l]
-            for k in _bits(dmask):
-                below_k = (1 << k) - 1
+            row = []
+            acc = 1
+            for i in range(l):
+                row.append(acc)
+                if inc[l] >> i & 1:
+                    acc += ends[i]
+            left.append(row)
+        d1 = [[0] * n for _ in range(n)]
+        d2 = [[0] * n for _ in range(n)]
+        dd = [[0] * n for _ in range(n)]
+        for k in range(n):
+            ups = up[k]
+            if not ups:
+                continue
+            below_k = (1 << k) - 1
+            side = inc[k] & below_k
+            reach = 0
+            for l in _bits(ups):
+                reach |= down[l]
+            starts = self.sweep(side, backward=True)
+            mid = {k: 1}
+            diff = [0] * (n + 1)
+            for kp in _bits(side & reach):
+                inner = side & inc[kp] & -(2 << kp)
+                row = dd[kp]
+                acc = 1
+                total = 0
+                m = inner | (up[kp] & below_k)
+                while m:
+                    p = m.bit_length() - 1
+                    bit = 1 << p
+                    m ^= bit
+                    if inner & bit:
+                        acc += starts[p]
+                    else:
+                        t = row[p] * acc
+                        total += t
+                        diff[sbar[p]] -= t
+                diff[sbar[kp] + 1] += total
+                mid[kp] = acc
+            case_b = list(accumulate(diff))
+            r1, r2, rd = d1[k], d2[k], dd[k]
+            firsts = side | 1 << k
+            for l in _bits(ups):
+                lrow = left[l]
                 s1 = 0
-                for i in _bits((below_k | 1 << k) & (inc[k] | 1 << k) & dmask):
-                    mid = below_k & ~((1 << (i + 1)) - 1)
-                    p_ikl = mid & inc[i] & inc[k] & dmask
-                    left = ((1 << i) - 1) & incl
-                    s1 += a(p_ikl) * a(left)
-                s2 = 0
-                between_kl = ((1 << l) - 1) & ~(below_k | 1 << k)
-                for lp in _bits(between_kl & incl):
-                    s2 += dd.get((k, lp), 0)
-                for lp in _bits(below_k & incl):
-                    below_lp = (1 << lp) - 1
-                    for kp in _bits(below_lp & down[lp] & dmask & inc[k]):
-                        val = dd.get((kp, lp), 0)
-                        if val:
-                            w = below_k & ~(below_lp | 1 << lp)
-                            w &= dmask & inc[k] & inc[kp]
-                            s2 += val * a(w)
-                d1[(k, l)] = s1
-                d2[(k, l)] = s2
-                dd[(k, l)] = s1 + s2
+                for i in _bits(firsts & down[l]):
+                    s1 += mid[i] * lrow[i]
+                s2 = case_b[sbar[l]]
+                for lp in _bits(ups & inc[l] & ((1 << l) - 1)):
+                    s2 += rd[lp]
+                r1[l] = s1
+                r2[l] = s2
+                rd[l] = s1 + s2
         self._tables = (d1, d2, dd)
         return self._tables
 
@@ -213,7 +263,7 @@ class AntichainCountTable(NamedTuple):
 
 def count_antichains(P: Poset, sigma: Sequence[int]) -> AntichainCountTable:
     eng = _engine(P, sigma)
-    vals = eng.element_counts()
+    vals = eng.sweep((1 << eng.n) - 1)
     per = {eng.sigma[p]: vals[p] for p in range(eng.n)}
     return AntichainCountTable(per, 1 + sum(vals))
 
@@ -278,14 +328,14 @@ def delta1(P: Poset, sigma: Sequence[int], k: int, l: int) -> int:
     eng = _engine(P, sigma)
     _check_pos(eng.n, k)
     _check_pos(eng.n, l)
-    return eng.tables()[0].get((k - 1, l - 1), 0)
+    return eng.tables()[0][k - 1][l - 1]
 
 
 def delta2(P: Poset, sigma: Sequence[int], k: int, l: int) -> int:
     eng = _engine(P, sigma)
     _check_pos(eng.n, k)
     _check_pos(eng.n, l)
-    return eng.tables()[1].get((k - 1, l - 1), 0)
+    return eng.tables()[1][k - 1][l - 1]
 
 
 class LedBreakdown(NamedTuple):
@@ -309,20 +359,34 @@ def led_downset(P: Poset, sigma: Sequence[int] | None = None) -> LedBreakdown:
     if sigma is None:
         sigma = realizer(P).sigma
     eng = _engine(P, sigma)
-    a_total = eng.a((1 << eng.n) - 1)
+    n = eng.n
+    a_total = 1 + sum(eng.sweep((1 << n) - 1))
     alpha = a_total * a_total
     beta = a_total
     gam = gamma(P, sigma)
-    d1_raw, d2_raw, dd = eng.tables()
+    d1_rows, d2_rows, dd = eng.tables()
+    # dd(k, l) * a(inc[k] after l), the suffix sums of one backward sweep
+    starts = eng.sweep((1 << n) - 1, backward=True)
     delta = 0
-    for (k, l), v in dd.items():
-        delta += v * eng.a(eng.right_mask(k, l))
+    for k in range(n):
+        row = dd[k]
+        side = eng.inc[k] & -(2 << k)
+        acc = 1
+        m = eng.up[k] | side
+        while m:
+            p = m.bit_length() - 1
+            bit = 1 << p
+            m ^= bit
+            if side & bit:
+                acc += starts[p]
+            else:
+                delta += row[p] * acc
     delta *= 2
     num = alpha - beta - gam - delta
-    assert num % 4 == 0, "count must be divisible by 4"
-    d1 = {(k + 1, l + 1): v for (k, l), v in d1_raw.items()}
-    d2 = {(k + 1, l + 1): v for (k, l), v in d2_raw.items()}
-    return LedBreakdown(alpha, beta, gam, delta, d1, d2, num // 4)
+    pairs = [(k, l) for l in range(n) for k in _bits(eng.down[l])]
+    d1 = {(k + 1, l + 1): d1_rows[k][l] for k, l in pairs}
+    d2 = {(k + 1, l + 1): d2_rows[k][l] for k, l in pairs}
+    return LedBreakdown(alpha, beta, gam, delta, d1, d2, _quarter(num))
 
 
 def led_upper_bound(P: Poset, cap: int = 1 << 10) -> int:

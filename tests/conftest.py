@@ -63,6 +63,11 @@ def random_two_dim(n, rng):
     return pk.poset_from_relations(n, rel)
 
 
+def dual(P):
+    """P^op: the same ground set with every relation reversed."""
+    return pk.poset_from_relations(P.n, [(y, x) for x, y in P.relation_pairs()])
+
+
 def random_extension(P, rng):
     placed = 0
     order = []

@@ -7,7 +7,8 @@ import pytest
 
 import posetkit as pk
 
-from conftest import all_posets_upto_iso, brute_antichains, random_two_dim
+from conftest import all_posets_upto_iso, brute_antichains, dual, random_two_dim
+from reference_tables import reference_delta, reference_tables
 
 
 REGRESSION = pk.poset_from_relations(5, [(1, 3), (1, 5), (2, 3), (2, 5), (4, 5)])
@@ -207,6 +208,67 @@ def test_delta_two_chain():
     P = pk.chain(2)
     assert pk.delta1(P, (1, 2), 1, 2) == 1
     assert pk.delta2(P, (1, 2), 1, 2) == 0
+
+
+def assert_tables_match_reference(P, sigma):
+    eng = pk.led._Engine(P, sigma)
+    d1, d2, dd = eng.tables()
+    r1, r2, rd = reference_tables(eng.down, eng.inc)
+    for k in range(P.n):
+        for l in range(P.n):
+            key = (k, l)
+            assert (d1[k][l], d2[k][l], dd[k][l]) == (
+                r1.get(key, 0), r2.get(key, 0), rd.get(key, 0)
+            ), (sigma, key)
+    assert pk.led_downset(P, sigma).delta == reference_delta(eng.inc, rd)
+
+
+def test_tables_match_reference_on_random_two_dim():
+    # both realizer orders, of P and of its dual
+    rng = random.Random(21)
+    for _ in range(200):
+        P = random_two_dim(rng.randint(1, 16), rng)
+        for Q in (P, dual(P)):
+            r = pk.realizer(Q)
+            assert_tables_match_reference(Q, r.sigma)
+            assert_tables_match_reference(Q, r.sigma_bar)
+
+
+def test_tables_match_reference_on_every_non_separating_extension():
+    rng = random.Random(23)
+    checked = 0
+    for _ in range(80):
+        P = random_two_dim(rng.randint(2, 7), rng)
+        for sigma in pk.all_linear_extensions(P):
+            if pk.is_non_separating(P, sigma):
+                assert_tables_match_reference(P, sigma)
+                checked += 1
+    assert checked > 400
+
+
+def test_tables_match_reference_on_chain_unions_and_antichains():
+    for lengths in ([1], [5], [2, 1], [3, 3], [4, 1, 2], [2, 2, 2, 1]):
+        P = pk.chain_union(lengths)
+        r = pk.realizer(P)
+        assert_tables_match_reference(P, r.sigma)
+        assert_tables_match_reference(P, r.sigma_bar)
+    for n in (1, 4, 7):
+        assert_tables_match_reference(pk.antichain_poset(n), tuple(range(1, n + 1)))
+
+
+def test_conjugate_rank_check_raises(monkeypatch):
+    # a separating sigma has no conjugate order; the engine's guard is
+    # bypassed here to reach the check behind it
+    P = pk.poset_from_relations(3, [(1, 3)])
+    monkeypatch.setattr(pk.led, "is_non_separating", lambda P, sigma: True)
+    with pytest.raises(pk.ContractViolation):
+        pk.led._Engine(P, (1, 2, 3)).tables()
+
+
+def test_quarter_rejects_counts_not_divisible_by_four():
+    assert pk.led._quarter(12) == 3
+    with pytest.raises(pk.ContractViolation):
+        pk.led._quarter(6)
 
 
 # ---------------------------------------------------------------------------
