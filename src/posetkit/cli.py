@@ -22,9 +22,9 @@ from .oracle import (
     enumerate_classes,
     le_graph_diameter,
 )
-from .poset import DEFAULT_CAP, Poset, cover_pairs, downset_lattice, load_poset
+from .poset import DEFAULT_CAP, downset_covers, parse_poset
 from .realizer import realizer
-from .revlex import diametral_pair, dominance_coordinates, reversal_distance
+from .revlex import build_revlex_extension, dominance_coordinates, reversal_distance
 from .svg import dominance_svg
 
 
@@ -86,7 +86,7 @@ def _run_led_bool(args) -> tuple:
 
 def _run_led_downset(args) -> tuple:
     text = _read(args.file)
-    P = _parse(text)
+    P = parse_poset(text)
     if args.upper_bound_only:
         return text, {"upper_bound": str(led_upper_bound(P))}
     b = led_downset(P)
@@ -101,10 +101,11 @@ def _run_led_downset(args) -> tuple:
 
 def _run_diametral(args) -> tuple:
     text = _read(args.file)
-    P = _parse(text)
+    P = parse_poset(text)
     cap = args.max_lattice
-    L1, L2 = diametral_pair(P, cap)
     r = realizer(P)
+    L1 = build_revlex_extension(P, r.sigma, cap)
+    L2 = build_revlex_extension(P, r.sigma_bar, cap)
     coords = dominance_coordinates(L1, L2)
     result = {
         "sigma": list(r.sigma),
@@ -114,11 +115,7 @@ def _run_diametral(args) -> tuple:
         "extension_2": [list(d) for d in L2.order],
     }
     if args.svg:
-        dl = downset_lattice(P, cap)
-        covers = [
-            (dl.downsets[a - 1], dl.downsets[b - 1])
-            for a, b in cover_pairs(dl.lattice)
-        ]
+        covers = downset_covers(P, L1.order)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(dominance_svg(coords, covers, args.scale))
         result["svg"] = args.svg
@@ -127,7 +124,7 @@ def _run_diametral(args) -> tuple:
 
 def _run_oracle(args) -> tuple:
     text = _read(args.file)
-    P = _parse(text)
+    P = parse_poset(text)
     if args.mode == "diameter":
         diam, pairs = le_graph_diameter(P, args.cap)
         result = {
@@ -154,7 +151,7 @@ def _run_oracle(args) -> tuple:
 
 def _run_count_antichains(args) -> tuple:
     text = _read(args.file)
-    P = _parse(text)
+    P = parse_poset(text)
     sigma = realizer(P).sigma
     table = count_table(P, sigma)
     return text, {
@@ -175,12 +172,6 @@ def _run_led_chains(args) -> tuple:
 
 class _Usage(Exception):
     pass
-
-
-def _parse(text: str) -> Poset:
-    from .poset import parse_poset
-
-    return parse_poset(text)
 
 
 _RUNNERS = {

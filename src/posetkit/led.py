@@ -13,7 +13,7 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .errors import ContractViolation, IndexOutOfRange, SeparatingExtension
-from .poset import Poset, _bits, induced
+from .poset import Poset, _bits, component_masks, enumerate_antichains, induced
 from .realizer import _require_extension, is_non_separating, realizer
 
 
@@ -79,7 +79,6 @@ class _Engine:
         self.up = up
         self.down = down
         self.inc = inc
-        self._tables = None
 
     def sweep(self, mask: int, backward: bool = False) -> list:
         """One pass of the antichain DP over the positions in mask.
@@ -173,8 +172,6 @@ class _Engine:
         tables take O(n^3) big-integer additions and multiplications in
         all, and O(n^2) memory.
         """
-        if self._tables is not None:
-            return self._tables
         n = self.n
         up, down, inc = self.up, self.down, self.inc
         sbar = [down[p].bit_count() + (inc[p] >> (p + 1)).bit_count() for p in range(n)]
@@ -238,22 +235,7 @@ class _Engine:
                 r1[l] = s1
                 r2[l] = s2
                 rd[l] = s1 + s2
-        self._tables = (d1, d2, dd)
-        return self._tables
-
-
-_engines = {}
-
-
-def _engine(P: Poset, sigma: Sequence[int]) -> _Engine:
-    key = (P, tuple(sigma))
-    eng = _engines.get(key)
-    if eng is None:
-        eng = _Engine(P, sigma)
-        if len(_engines) >= 8:
-            _engines.pop(next(iter(_engines)))
-        _engines[key] = eng
-    return eng
+        return d1, d2, dd
 
 
 class AntichainCountTable(NamedTuple):
@@ -262,7 +244,7 @@ class AntichainCountTable(NamedTuple):
 
 
 def count_antichains(P: Poset, sigma: Sequence[int]) -> AntichainCountTable:
-    eng = _engine(P, sigma)
+    eng = _Engine(P, sigma)
     vals = eng.sweep((1 << eng.n) - 1)
     per = {eng.sigma[p]: vals[p] for p in range(eng.n)}
     return AntichainCountTable(per, 1 + sum(vals))
@@ -273,7 +255,7 @@ class SizeVector(NamedTuple):
 
 
 def size_vectors(P: Poset, sigma: Sequence[int]) -> SizeVector:
-    eng = _engine(P, sigma)
+    eng = _Engine(P, sigma)
     rows = eng.size_rows()
     s = {}
     for p in range(eng.n):
@@ -283,15 +265,14 @@ def size_vectors(P: Poset, sigma: Sequence[int]) -> SizeVector:
     return SizeVector(s)
 
 
+def _gamma(rows: list) -> int:
+    return 2 * sum(r * v for row in rows for r, v in enumerate(row, start=1))
+
+
 def gamma(P: Poset, sigma: Sequence[int]) -> int:
     """Twice the number of ordered pairs (A, A - x): each antichain counted
     with multiplicity its cardinality, doubled."""
-    eng = _engine(P, sigma)
-    total = 0
-    for row in eng.size_rows():
-        for r, v in enumerate(row, start=1):
-            total += r * v
-    return 2 * total
+    return _gamma(_Engine(P, sigma).size_rows())
 
 
 def _check_pos(n: int, p: int) -> None:
@@ -325,14 +306,14 @@ def restricted_subposets(P: Poset, sigma: Sequence[int], i: int, k: int, l: int)
 
 
 def delta1(P: Poset, sigma: Sequence[int], k: int, l: int) -> int:
-    eng = _engine(P, sigma)
+    eng = _Engine(P, sigma)
     _check_pos(eng.n, k)
     _check_pos(eng.n, l)
     return eng.tables()[0][k - 1][l - 1]
 
 
 def delta2(P: Poset, sigma: Sequence[int], k: int, l: int) -> int:
-    eng = _engine(P, sigma)
+    eng = _Engine(P, sigma)
     _check_pos(eng.n, k)
     _check_pos(eng.n, l)
     return eng.tables()[1][k - 1][l - 1]
@@ -358,12 +339,13 @@ def led_downset(P: Poset, sigma: Sequence[int] | None = None) -> LedBreakdown:
     """
     if sigma is None:
         sigma = realizer(P).sigma
-    eng = _engine(P, sigma)
+    eng = _Engine(P, sigma)
     n = eng.n
-    a_total = 1 + sum(eng.sweep((1 << n) - 1))
+    rows = eng.size_rows()
+    a_total = 1 + sum(map(sum, rows))
     alpha = a_total * a_total
     beta = a_total
-    gam = gamma(P, sigma)
+    gam = _gamma(rows)
     d1_rows, d2_rows, dd = eng.tables()
     # dd(k, l) * a(inc[k] after l), the suffix sums of one backward sweep
     starts = eng.sweep((1 << n) - 1, backward=True)
@@ -395,30 +377,9 @@ def led_upper_bound(P: Poset, cap: int = 1 << 10) -> int:
     contribute at most 2^(d-2) reversals to any pair of lattice extensions,
     d the number of components of the subposet on D.  Needs no realizer,
     so it also covers posets of dimension three and more."""
-    from .poset import enumerate_antichains
-
     chains = enumerate_antichains(P, cap)
     masks = [sum(1 << (e - 1) for e in A) for A in chains]
     comp_count = {}
-
-    def components_of(dmask: int) -> int:
-        if dmask in comp_count:
-            return comp_count[dmask]
-        cnt = 0
-        rest = dmask
-        while rest:
-            cnt += 1
-            frontier = rest & -rest
-            comp = 0
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                for j in _bits(frontier):
-                    nxt |= (P.up_masks[j] | P.down_masks[j]) & dmask
-                frontier = nxt & ~comp
-            rest &= ~comp
-        comp_count[dmask] = cnt
-        return cnt
 
     seen = set()
     total = 0
@@ -429,7 +390,9 @@ def led_upper_bound(P: Poset, cap: int = 1 << 10) -> int:
             if key in seen:
                 continue
             seen.add(key)
-            dcnt = components_of(d)
+            dcnt = comp_count.get(d)
+            if dcnt is None:
+                dcnt = comp_count[d] = len(component_masks(P, d))
             if dcnt >= 2:
                 total += 1 << (dcnt - 2)
     return total

@@ -11,11 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import CapExceeded, MismatchedGroundSets
+from .errors import CapExceeded, ContractViolation, MismatchedGroundSets
 from .poset import (
     DEFAULT_CAP,
     Poset,
     _bits,
+    _mask_of,
+    component_masks,
     downset_lattice,
     downset_of,
     enumerate_antichains,
@@ -25,6 +27,12 @@ from .poset import (
 from .revlex import LatticeExtension
 
 _BFS_ALL_SOURCES_LIMIT = 256
+
+
+def _check(ok: bool, what: str) -> None:
+    """A contract check that, unlike assert, survives python -O."""
+    if not ok:
+        raise ContractViolation(what)
 
 
 def all_linear_extensions(P: Poset, cap: int = DEFAULT_CAP) -> list:
@@ -129,13 +137,13 @@ def le_graph_diameter(P: Poset, cap: int = DEFAULT_CAP) -> tuple:
     reached_all = False
     for s in sources:
         dist = _bfs(P, exts, index, s)
-        assert min(dist) >= 0, "linear extension graph must be connected"
+        _check(min(dist) >= 0, "linear extension graph must be connected")
         reached_all = True
-        assert max(dist) <= diam, "graph distance exceeds reversal distance"
+        _check(max(dist) <= diam, "graph distance exceeds reversal distance")
         for j, d in enumerate(dist):
-            assert d == (masks[s] ^ masks[j]).bit_count(), \
-                "graph distance must equal reversal distance"
-    assert reached_all
+            _check(d == (masks[s] ^ masks[j]).bit_count(),
+                   "graph distance must equal reversal distance")
+    _check(reached_all, "no breadth-first search ran")
     return diam, [(exts[i], exts[j]) for i, j in census]
 
 
@@ -182,13 +190,14 @@ def enumerate_classes(P: Poset, cap: int = DEFAULT_CAP) -> list:
     out = []
     for (D, I) in sorted(grouped):
         members = grouped[(D, I)]
-        assert not set(D) & set(I)
+        _check(not set(D) & set(I), "D and I must be disjoint")
         for x in I:
             for y in D:
-                assert P.incomparable(x, y), "I must be incomparable to D"
-        comps = _components_within(P, D)
+                _check(P.incomparable(x, y), "I must be incomparable to D")
+        dmask = _mask_of(P.n, D)
+        comps = [tuple(j + 1 for j in _bits(c)) for c in component_masks(P, dmask)]
         d = len(comps)
-        assert len(members) == 1 << d, "class size must be 2^components"
+        _check(len(members) == 1 << d, "class size must be 2^components")
         pairs = []
         downs = []
         for K in range(1 << d):
@@ -200,32 +209,12 @@ def enumerate_classes(P: Poset, cap: int = DEFAULT_CAP) -> list:
                     X.update(min_of(P, comp))
             A = tuple(sorted(X | set(I)))
             B = tuple(sorted((set(D) - X) | set(I)))
-            assert (A, B) in members, "bijection must hit the class"
+            _check((A, B) in members, "bijection must hit the class")
             pairs.append((A, B))
             downs.append((downset_of(P, A), downset_of(P, B)))
-        assert len(set(pairs)) == len(members), "bijection must be onto"
+        _check(len(set(pairs)) == len(members), "bijection must be onto")
         out.append(EquivalenceClass(D, I, tuple(comps), tuple(pairs), tuple(downs)))
     return out
-
-
-def _components_within(P: Poset, D: tuple) -> list:
-    mask = 0
-    for e in D:
-        mask |= 1 << (e - 1)
-    comps = []
-    rest = mask
-    while rest:
-        comp = 0
-        frontier = rest & -rest
-        while frontier:
-            comp |= frontier
-            nxt = 0
-            for j in _bits(frontier):
-                nxt |= (P.up_masks[j] | P.down_masks[j]) & mask
-            frontier = nxt & ~comp
-        comps.append(tuple(j + 1 for j in _bits(comp)))
-        rest &= ~comp
-    return sorted(comps)
 
 
 def _positions_of(C: EquivalenceClass, L: LatticeExtension) -> list:
@@ -259,7 +248,7 @@ def kleitman_families(C: EquivalenceClass, L1: LatticeExtension,
     """F_i = the subsets K with the K-side downset before its partner in
     L_i.  Both families come out downward closed with 2^(d-1) members, and
     |F1| * |F2| <= 2^d * |F1 and F2| (the counting inequality behind the
-    class contribution bound); all three facts are asserted."""
+    class contribution bound); all three facts are checked."""
     if set(L1.order) != set(L2.order):
         raise MismatchedGroundSets("extensions order different downset families")
     d = len(C.components)
@@ -273,11 +262,12 @@ def kleitman_families(C: EquivalenceClass, L1: LatticeExtension,
                 f.add(members)
     for f in fams:
         if d:
-            assert len(f) == 1 << (d - 1), "exactly one of K, complement is down"
+            _check(len(f) == 1 << (d - 1), "exactly one of K, complement is down")
         for K in f:
             for t in K:
-                assert K - {t} in f, "family must be downward closed"
-    assert len(fams[0]) * len(fams[1]) <= (1 << d) * len(fams[0] & fams[1])
+                _check(K - {t} in f, "family must be downward closed")
+    _check(len(fams[0]) * len(fams[1]) <= (1 << d) * len(fams[0] & fams[1]),
+           "Kleitman's inequality fails")
     return fams
 
 

@@ -20,6 +20,10 @@ from .errors import (
 
 DEFAULT_CAP = 1 << 20
 
+# Largest ground set accepted: the up, down and incomparable rows, n bits
+# each, come to about 6 MB at 4096, so a short header cannot exhaust memory.
+MAX_ELEMENTS = 4096
+
 
 def _check_index(n: int, e: int) -> None:
     if not isinstance(e, int) or isinstance(e, bool) or not 1 <= e <= n:
@@ -130,6 +134,8 @@ def poset_from_relations(n: int, pairs: Iterable[tuple]) -> Poset:
     """
     if n < 0:
         raise IndexOutOfRange(f"negative size {n}")
+    if n > MAX_ELEMENTS:
+        raise CapExceeded(f"{n} elements, more than {MAX_ELEMENTS}")
     succ = [0] * n
     for a, b in pairs:
         _check_index(n, a)
@@ -178,25 +184,29 @@ def induced(P: Poset, S: Iterable[int]) -> tuple:
     return Poset(len(ids), up), ids
 
 
-def components(P: Poset) -> list:
-    """Connected components of the comparability graph, each a sorted tuple,
-    ordered by smallest member."""
-    seen = 0
+def component_masks(P: Poset, mask: int) -> list:
+    """Connected components of the comparability graph of the subposet on
+    mask, as bitmasks ordered by smallest member."""
     out = []
-    for i in range(P.n):
-        if seen >> i & 1:
-            continue
+    rest = mask
+    while rest:
         comp = 0
-        frontier = 1 << i
+        frontier = rest & -rest
         while frontier:
             comp |= frontier
             nxt = 0
             for j in _bits(frontier):
                 nxt |= P._up[j] | P._down[j]
-            frontier = nxt & ~comp
-        seen |= comp
-        out.append(tuple(j + 1 for j in _bits(comp)))
+            frontier = nxt & mask & ~comp
+        out.append(comp)
+        rest &= ~comp
     return out
+
+
+def components(P: Poset) -> list:
+    """Connected components of the comparability graph, each a sorted tuple,
+    ordered by smallest member."""
+    return [tuple(j + 1 for j in _bits(c)) for c in component_masks(P, (1 << P.n) - 1)]
 
 
 def max_of(P: Poset, S: Iterable[int]) -> tuple:
@@ -256,10 +266,6 @@ def enumerate_antichains(P: Poset, cap: int = DEFAULT_CAP) -> list:
     return out
 
 
-def count_antichains_brute(P: Poset, cap: int = DEFAULT_CAP) -> int:
-    return len(enumerate_antichains(P, cap))
-
-
 def all_downsets(P: Poset, cap: int = DEFAULT_CAP) -> list:
     """Every downset as a bitmask, sorted by numeric mask value."""
     seen = {0}
@@ -305,6 +311,18 @@ def cover_pairs(P: Poset) -> list:
         for j in _bits(m):
             if not m & P._down[j]:
                 out.append((i + 1, j + 1))
+    return out
+
+
+def downset_covers(P: Poset, downsets: Iterable[tuple]) -> list:
+    """Covering pairs (D, D + x) of the downset lattice, x minimal outside D:
+    the lattice is distributive, so these are all of its covers."""
+    out = []
+    for D in downsets:
+        mask = _mask_of(P.n, D)
+        for j in _bits(~mask & ((1 << P.n) - 1)):
+            if not P._down[j] & ~mask:
+                out.append((D, tuple(k + 1 for k in _bits(mask | 1 << j))))
     return out
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import NotALinearExtension, NotTwoDimensional
+from .errors import ContractViolation, NotALinearExtension, NotTwoDimensional
 from .poset import Poset, _bits
 
 
@@ -76,7 +76,8 @@ def transitive_orientation(P: Poset) -> list:
         arc[a - 1] |= 1 << (b - 1)
     for a in range(n):
         for b in _bits(arc[a]):
-            assert not arc[b] & ~arc[a], "orientation not transitive"
+            if arc[b] & ~arc[a]:
+                raise ContractViolation("orientation not transitive")
     return out
 
 
@@ -105,7 +106,8 @@ def _total_order_sort(P: Poset, arcs, flip: bool) -> tuple:
         below[b - 1] |= 1 << (a - 1)
     order = sorted(P.elements(), key=lambda e: bin(below[e - 1]).count("1"))
     # a total order gives pairwise distinct predecessor counts 0..n-1
-    assert [bin(below[e - 1]).count("1") for e in order] == list(range(n))
+    if [bin(below[e - 1]).count("1") for e in order] != list(range(n)):
+        raise ContractViolation("orientation does not give a total order")
     return tuple(order)
 
 
@@ -122,7 +124,8 @@ def realizer(P: Poset) -> Realizer2D:
             both = pos[a] < pos[b] and pos_bar[a] < pos_bar[b]
             both_rev = pos[a] > pos[b] and pos_bar[a] > pos_bar[b]
             agree = both or both_rev
-            assert agree == (P.less(a, b) or P.less(b, a)), "realizer mismatch"
+            if agree != (P.less(a, b) or P.less(b, a)):
+                raise ContractViolation("realizer mismatch")
     return Realizer2D(sigma, sigma_bar)
 
 

@@ -2,11 +2,14 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
 import posetkit as pk
 from posetkit import cli
+
+from conftest import random_two_dim
 
 
 def _poset_file(tmp_path, P, name="input.poset"):
@@ -129,24 +132,32 @@ def test_diametral_square(tmp_path, capsys):
 
 
 def test_diametral_svg(tmp_path, capsys):
-    P = pk.chain(2)
-    path = _poset_file(tmp_path, P)
-    svg_path = tmp_path / "picture.svg"
-    code, out, err = _run(capsys, ["diametral", path, "--svg", str(svg_path)])
-    assert code == 0
-    assert _payload(out)["result"]["svg"] == str(svg_path)
-    content = svg_path.read_text(encoding="utf-8")
-    assert content.startswith("<svg")
-    assert content.endswith("</svg>\n")
-    # the CLI draws exactly what the library produces for the same input
-    L1, L2 = pk.diametral_pair(P)
-    coords = pk.dominance_coordinates(L1, L2)
-    dl = pk.downset_lattice(P)
-    covers = [
-        (dl.downsets[a - 1], dl.downsets[b - 1])
-        for a, b in pk.cover_pairs(dl.lattice)
+    posets = [
+        pk.chain(2),
+        pk.antichain_poset(4),
+        pk.chain_union([2, 2]),
+        pk.poset_from_relations(5, [(1, 3), (1, 5), (2, 3), (2, 5), (4, 5)]),
+        random_two_dim(9, random.Random(31)),
     ]
-    assert content == pk.dominance_svg(coords, covers, 24)
+    for P in posets:
+        path = _poset_file(tmp_path, P)
+        svg_path = tmp_path / "picture.svg"
+        code, out, err = _run(capsys, ["diametral", path, "--svg", str(svg_path)])
+        assert code == 0
+        assert _payload(out)["result"]["svg"] == str(svg_path)
+        content = svg_path.read_text(encoding="utf-8")
+        assert content.startswith("<svg")
+        assert content.endswith("</svg>\n")
+        # the CLI draws exactly what the library produces for the same input,
+        # with the covers read off the full downset lattice
+        L1, L2 = pk.diametral_pair(P)
+        coords = pk.dominance_coordinates(L1, L2)
+        dl = pk.downset_lattice(P)
+        covers = [
+            (dl.downsets[a - 1], dl.downsets[b - 1])
+            for a, b in pk.cover_pairs(dl.lattice)
+        ]
+        assert content == pk.dominance_svg(coords, covers, 24)
 
 
 def test_diametral_matches_led_downset(tmp_path, capsys):
@@ -177,6 +188,16 @@ def test_oracle_cap_exits_three(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "cap exceeded" in err
+
+
+def test_oversized_input_exits_three(tmp_path, capsys):
+    path = tmp_path / "huge.poset"
+    path.write_text("poset 1000000000\n", encoding="utf-8")
+    for argv in (["led-downset", str(path)], ["count-antichains", str(path)]):
+        code, out, err = _run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert "cap exceeded" in err
 
 
 def test_oracle_classes(tmp_path, capsys):

@@ -150,6 +150,18 @@ def test_cover_pairs():
     assert pk.cover_pairs(P) == [(1, 2), (2, 3)]
 
 
+def test_downset_covers_match_the_lattice_covers():
+    # the direct covers agree with the covers of the full inclusion order,
+    # also off two dimensions (the chevron)
+    posets = [pk.chain(3), pk.antichain_poset(4), pk.chain_union([2, 3]), pk.chevron()]
+    posets += all_posets_upto_iso(4)
+    for P in posets:
+        dl = pk.downset_lattice(P)
+        want = sorted((dl.downsets[a - 1], dl.downsets[b - 1])
+                      for a, b in pk.cover_pairs(dl.lattice))
+        assert sorted(pk.poset.downset_covers(P, dl.downsets)) == want
+
+
 def test_chain_union_numbering():
     P = pk.chain_union([2, 3])
     assert P.relation_pairs() == [(1, 2), (3, 4), (3, 5), (4, 5)]
@@ -180,6 +192,14 @@ def test_parse_errors():
             pk.parse_poset(bad)
     with pytest.raises(pk.CycleDetected):
         pk.parse_poset("poset 2\n1 < 2\n2 < 1\n")
+
+
+def test_oversized_header_is_refused_before_allocating():
+    with pytest.raises(pk.CapExceeded):
+        pk.parse_poset("poset 1000000000\n")
+    with pytest.raises(pk.CapExceeded):
+        pk.antichain_poset(pk.poset.MAX_ELEMENTS + 1)
+    assert pk.antichain_poset(pk.poset.MAX_ELEMENTS).n == pk.poset.MAX_ELEMENTS
 
 
 def test_load_poset(tmp_path):

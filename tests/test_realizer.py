@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 
@@ -97,6 +98,16 @@ def test_realizer_deterministic():
     for _ in range(20):
         P = random_two_dim(8, rng)
         assert pk.realizer(P) == pk.realizer(P)
+
+
+def test_realizer_rejects_a_non_transitive_orientation(monkeypatch):
+    # a cyclic orientation of the antichain's three edges gives no total
+    # order; the check must raise, also under python -O
+    module = importlib.import_module("posetkit.realizer")
+    monkeypatch.setattr(module, "transitive_orientation",
+                        lambda P: [(1, 2), (2, 3), (3, 1)])
+    with pytest.raises(pk.ContractViolation):
+        pk.realizer(pk.antichain_poset(3))
 
 
 def test_non_separating():
