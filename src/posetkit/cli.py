@@ -24,7 +24,7 @@ from .oracle import (
 )
 from .poset import DEFAULT_CAP, downset_covers, parse_poset
 from .realizer import realizer
-from .revlex import build_revlex_extension, dominance_coordinates, reversal_distance
+from .revlex import diametral_pair, dominance_coordinates, reversal_distance
 from .svg import dominance_svg
 
 
@@ -102,10 +102,8 @@ def _run_led_downset(args) -> tuple:
 def _run_diametral(args) -> tuple:
     text = _read(args.file)
     P = parse_poset(text)
-    cap = args.max_lattice
     r = realizer(P)
-    L1 = build_revlex_extension(P, r.sigma, cap)
-    L2 = build_revlex_extension(P, r.sigma_bar, cap)
+    L1, L2 = diametral_pair(P, args.max_lattice, r)
     coords = dominance_coordinates(L1, L2)
     result = {
         "sigma": list(r.sigma),

@@ -249,20 +249,21 @@ def maxima_of_downset(P: Poset, S: Iterable[int]) -> tuple:
 def enumerate_antichains(P: Poset, cap: int = DEFAULT_CAP) -> list:
     """All antichains (the empty one first) in lexicographic order of their
     sorted member tuples.  Raises CapExceeded past cap."""
+    # the minimal (or the maximal) elements form an antichain: k give 2^k
+    if P.n and 1 << max(sum(not m for m in P._down), sum(not m for m in P._up)) > cap:
+        raise CapExceeded(f"more than {cap} antichains")
     out = [()]
-    full = (1 << P.n) - 1
-    inc = P._inc
-
-    def rec(prefix, first, allowed):
-        m = allowed & ~((1 << first) - 1)
-        for j in _bits(m):
-            cur = prefix + (j + 1,)
+    # depth-first; a frame is a prefix and its candidates not yet tried
+    stack = [((), (1 << P.n) - 1)]
+    while stack:
+        prefix, rest = stack.pop()
+        if rest:
             if len(out) >= cap:
                 raise CapExceeded(f"more than {cap} antichains")
+            low = rest & -rest
+            cur = prefix + (low.bit_length(),)
             out.append(cur)
-            rec(cur, j + 1, allowed & inc[j])
-
-    rec((), 0, full)
+            stack += [(prefix, rest ^ low), (cur, rest & P._inc[low.bit_length() - 1])]
     return out
 
 

@@ -25,60 +25,54 @@ def _require_extension(P: Poset, order: Sequence[int]) -> None:
 def transitive_orientation(P: Poset) -> list:
     """Orient every incomparable pair so the orientation is transitive.
 
-    Implication-class forcing: orienting one edge forces all edges reachable
-    through vertices that lack the closing chord, the forced class is removed,
-    and the next seed is the lexicographically least surviving edge, oriented
-    low to high.  A class that forces some edge both ways proves there is no
-    transitive orientation at all.  Returns ordered pairs sorted
-    lexicographically.
+    Implication-class forcing (Golumbic, ch. 5): orienting one edge forces
+    all edges reachable through vertices that lack the closing chord; the
+    class is removed and the next seed is the lexicographically least
+    surviving edge, oriented low to high.  A class is kept as arc masks;
+    one forcing some edge both ways (out[a] & into[a] not empty) proves
+    there is no transitive orientation.  Returns sorted ordered pairs.
     """
     n = P.n
-    adj = list(P.inc_masks)
-    oriented = {}
-
-    def force(seed) -> None:
-        queue = [seed]
-        cls = {seed}
-        while queue:
-            a, b = queue.pop()
-            # edge {a,c} present, chord {b,c} absent: a->b forces a->c
-            for c in _bits(adj[a] & ~adj[b] & ~(1 << b)):
-                arc = (a, c)
-                if arc not in cls:
-                    cls.add(arc)
-                    queue.append(arc)
-            # edge {c,b} present, chord {a,c} absent: a->b forces c->b
-            for c in _bits(adj[b] & ~adj[a] & ~(1 << a)):
-                arc = (c, b)
-                if arc not in cls:
-                    cls.add(arc)
-                    queue.append(arc)
-        for a, b in cls:
-            if (b, a) in cls:
-                raise NotTwoDimensional(
-                    f"edge {a + 1},{b + 1} is forced in both directions"
-                )
-        for a, b in cls:
-            oriented[(a, b)] = True
-            adj[a] &= ~(1 << b)
-            adj[b] &= ~(1 << a)
-
+    adj = list(P.inc_masks)       # edges not yet in any class
+    arcs = [0] * n                # b in arcs[a]: the edge {a,b} is a -> b
+    out, into = [0] * n, [0] * n  # the class being forced
     for i in range(n):
-        for j in range(i + 1, n):
-            if adj[i] >> j & 1:
-                force((i, j))
+        while rest := adj[i] & -(2 << i):
+            j = (rest & -rest).bit_length() - 1
+            out[i], into[j] = 1 << j, 1 << i
+            touched = 1 << i | 1 << j
+            queue = [(i, j)]
+            while queue:
+                a, b = queue.pop()
+                # edge {a,c}, no chord {b,c}: a->b forces a->c (c = b is in out[a])
+                new_out = adj[a] & ~adj[b] & ~out[a]
+                out[a] |= new_out
+                for c in _bits(new_out):
+                    into[c] |= 1 << a
+                    queue.append((a, c))
+                # edge {c,b}, no chord {a,c}: a->b forces c->b (c = a is in into[b])
+                new_in = adj[b] & ~adj[a] & ~into[b]
+                into[b] |= new_in
+                for c in _bits(new_in):
+                    out[c] |= 1 << b
+                    queue.append((c, b))
+                touched |= new_out | new_in
+            for a in _bits(touched):
+                if out[a] & into[a]:
+                    b = (out[a] & into[a]).bit_length()
+                    raise NotTwoDimensional(
+                        f"edge {a + 1},{b} is forced in both directions")
+                arcs[a] |= out[a]
+                adj[a] &= ~(out[a] | into[a])
+                out[a] = into[a] = 0
 
-    out = sorted((a + 1, b + 1) for a, b in oriented)
     # the union of forced classes is transitive whenever every class is
     # proper; keep a cheap certificate of that fact
-    arc = [0] * n
-    for a, b in out:
-        arc[a - 1] |= 1 << (b - 1)
     for a in range(n):
-        for b in _bits(arc[a]):
-            if arc[b] & ~arc[a]:
+        for b in _bits(arcs[a]):
+            if arcs[b] & ~arcs[a]:
                 raise ContractViolation("orientation not transitive")
-    return out
+    return [(a + 1, b + 1) for a in range(n) for b in _bits(arcs[a])]
 
 
 def is_two_dimensional(P: Poset) -> bool:
@@ -95,37 +89,40 @@ class Realizer2D:
     sigma_bar: tuple
 
 
-def _total_order_sort(P: Poset, arcs, flip: bool) -> tuple:
-    """Sort elements by the strict total order (poset relation plus the
-    orientation, reversed when flip is set)."""
-    n = P.n
-    below = list(P.down_masks)
-    for a, b in arcs:
-        if flip:
-            a, b = b, a
-        below[b - 1] |= 1 << (a - 1)
-    order = sorted(P.elements(), key=lambda e: bin(below[e - 1]).count("1"))
-    # a total order gives pairwise distinct predecessor counts 0..n-1
-    if [bin(below[e - 1]).count("1") for e in order] != list(range(n)):
+def _placed(ranks: list) -> tuple:
+    """The order with each element at its rank, and at index e - 1 the mask
+    of the elements before e.  A strict total order has ranks 0..n-1."""
+    n = len(ranks)
+    if sorted(ranks) != list(range(n)):
         raise ContractViolation("orientation does not give a total order")
-    return tuple(order)
+    order, ahead, seen = [0] * n, [0] * n, 0
+    for e, r in enumerate(ranks, start=1):
+        order[r] = e
+    for e in order:
+        ahead[e - 1] = seen
+        seen |= 1 << (e - 1)
+    return tuple(order), ahead
 
 
 def realizer(P: Poset) -> Realizer2D:
     """A realizer by two linear extensions: intersecting their orders gives
-    back exactly the poset relation."""
-    arcs = transitive_orientation(P)
-    sigma = _total_order_sort(P, arcs, flip=False)
-    sigma_bar = _total_order_sort(P, arcs, flip=True)
-    pos = {e: k for k, e in enumerate(sigma)}
-    pos_bar = {e: k for k, e in enumerate(sigma_bar)}
-    for a in P.elements():
-        for b in range(a + 1, P.n + 1):
-            both = pos[a] < pos[b] and pos_bar[a] < pos_bar[b]
-            both_rev = pos[a] > pos[b] and pos_bar[a] > pos_bar[b]
-            agree = both or both_rev
-            if agree != (P.less(a, b) or P.less(b, a)):
-                raise ContractViolation("realizer mismatch")
+    back exactly the poset relation.
+
+    sigma puts a before b for each arc a -> b of the orientation, sigma_bar
+    puts b first.  Every incomparable pair is oriented exactly once, so e
+    has |up + arcs out| elements after it in sigma and |down + arcs out|
+    before it in sigma_bar; these ranks place both orders.
+    """
+    n = P.n
+    out = [0] * n
+    for a, b in transitive_orientation(P):
+        out[a - 1] |= 1 << (b - 1)
+    sigma, a1 = _placed([n - 1 - (u | m).bit_count() for u, m in zip(P.up_masks, out)])
+    sigma_bar, a2 = _placed([(d | m).bit_count() for d, m in zip(P.down_masks, out)])
+    # x is ahead of e in both orders exactly when x < e: both orders
+    # extend P and their intersection is P
+    if any(s & t != d for s, t, d in zip(a1, a2, P.down_masks)):
+        raise ContractViolation("realizer mismatch")
     return Realizer2D(sigma, sigma_bar)
 
 

@@ -10,9 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import EqualSets, IndexOutOfRange, MismatchedGroundSets
+from .errors import CapExceeded, EqualSets, IndexOutOfRange, MismatchedGroundSets
+from .led import count_antichains
 from .poset import DEFAULT_CAP, Poset, _bits, all_downsets
-from .realizer import _require_extension, realizer
+from .realizer import Realizer2D, _require_extension, realizer
 
 
 def _positions(sigma: Sequence[int]) -> dict:
@@ -39,24 +40,15 @@ class LatticeExtension:
         return len(self.order)
 
 
-def _as_extension(downs: list) -> LatticeExtension:
-    order = tuple(downs)
-    return LatticeExtension(order, {d: p for p, d in enumerate(order, start=1)})
-
-
-def build_revlex_extension(
-    P: Poset, sigma: Sequence[int], cap: int = DEFAULT_CAP
-) -> LatticeExtension:
-    """All downsets of P sorted by revlex_less for sigma.
+def _sorted_for(masks: list, sigma: Sequence[int]) -> LatticeExtension:
+    """The downset masks sorted by revlex_less for sigma.
 
     Mapping a downset to the bitmask of the sigma positions of its members
     turns the comparator into plain integer less-than (the highest bit of
     the XOR of two masks is the sigma-largest element of the symmetric
     difference), so an integer sort key realizes exactly that order.
     """
-    _require_extension(P, sigma)
     pos = _positions(sigma)
-    masks = all_downsets(P, cap)
 
     def key(mask: int) -> int:
         k = 0
@@ -64,8 +56,16 @@ def build_revlex_extension(
             k |= 1 << pos[j + 1]
         return k
 
-    masks.sort(key=key)
-    return _as_extension([tuple(j + 1 for j in _bits(m)) for m in masks])
+    order = tuple(tuple(j + 1 for j in _bits(m)) for m in sorted(masks, key=key))
+    return LatticeExtension(order, {d: p for p, d in enumerate(order, start=1)})
+
+
+def build_revlex_extension(
+    P: Poset, sigma: Sequence[int], cap: int = DEFAULT_CAP
+) -> LatticeExtension:
+    """All downsets of P sorted by revlex_less for sigma."""
+    _require_extension(P, sigma)
+    return _sorted_for(all_downsets(P, cap), sigma)
 
 
 def _common_ground(L1: LatticeExtension, L2: LatticeExtension) -> None:
@@ -101,15 +101,18 @@ def reversal_distance(L1: LatticeExtension, L2: LatticeExtension) -> int:
     return count(0, len(seq))
 
 
-def diametral_pair(P: Poset, cap: int = DEFAULT_CAP) -> tuple:
-    """The pair (L_sigma, L_sigma_bar) for a realizer (sigma, sigma_bar);
-    its reversal distance is the diameter of the linear extension graph of
-    the downset lattice."""
-    r = realizer(P)
-    return (
-        build_revlex_extension(P, r.sigma, cap),
-        build_revlex_extension(P, r.sigma_bar, cap),
-    )
+def diametral_pair(P: Poset, cap: int = DEFAULT_CAP,
+                   r: Realizer2D | None = None) -> tuple:
+    """The pair (L_sigma, L_sigma_bar) for the realizer r (by default
+    realizer(P)); its reversal distance is the diameter of the linear
+    extension graph of the downset lattice.  The antichain count, which is
+    the downset count, is checked against cap before any enumeration."""
+    r = realizer(P) if r is None else r
+    _require_extension(P, r.sigma_bar)  # count_antichains checks sigma
+    if count_antichains(P, r.sigma).total > cap:
+        raise CapExceeded(f"more than {cap} downsets")
+    masks = all_downsets(P, cap)
+    return _sorted_for(masks, r.sigma), _sorted_for(masks, r.sigma_bar)
 
 
 def dominance_coordinates(L1: LatticeExtension, L2: LatticeExtension) -> dict:

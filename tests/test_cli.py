@@ -1,6 +1,7 @@
 """End-to-end tests of the command line interface."""
 
 import hashlib
+import importlib
 import json
 import random
 
@@ -198,6 +199,32 @@ def test_oversized_input_exits_three(tmp_path, capsys):
         assert code == 3
         assert out == ""
         assert "cap exceeded" in err
+
+
+def test_wide_antichain_exits_three(tmp_path, capsys):
+    path = _poset_file(tmp_path, pk.antichain_poset(1100))
+    for argv in (["led-downset", path, "--upper-bound-only"], ["oracle", path, "classes"]):
+        code, out, err = _run(capsys, argv)
+        assert code == 3
+        assert out == ""
+        assert "more than" in err
+
+
+def test_diametral_enumerates_downsets_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(importlib.import_module("posetkit.revlex"), "all_downsets",
+                        lambda P, cap: calls.append(P) or pk.all_downsets(P, cap))
+    path = _poset_file(tmp_path, random_two_dim(9, random.Random(4)))
+    code, out, err = _run(capsys, ["diametral", path])
+    assert code == 0
+    assert len(calls) == 1
+    # more downsets than the cap: refused before any enumeration
+    path = _poset_file(tmp_path, pk.antichain_poset(30))
+    code, out, err = _run(capsys, ["diametral", path])
+    assert code == 3
+    assert out == ""
+    assert f"more than {pk.DEFAULT_CAP} downsets" in err
+    assert len(calls) == 1
 
 
 def test_oracle_classes(tmp_path, capsys):

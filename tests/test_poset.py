@@ -124,6 +124,29 @@ def test_enumerate_antichains():
         pk.enumerate_antichains(pk.antichain_poset(8), cap=100)
 
 
+def test_enumerate_antichains_is_lexicographic_and_capped_exactly():
+    for P in all_posets_upto_iso(4) + [pk.chain_union([2, 2]), pk.chevron()]:
+        chains = pk.enumerate_antichains(P)
+        assert chains == sorted(brute_antichains(P))
+        assert pk.enumerate_antichains(P, cap=len(chains)) == chains
+        with pytest.raises(pk.CapExceeded):
+            pk.enumerate_antichains(P, cap=len(chains) - 1)
+    assert pk.enumerate_antichains(pk.antichain_poset(0), cap=0) == [()]
+
+
+def test_enumerate_antichains_on_wide_and_deep_posets():
+    # 1100 incomparable elements: refused without listing anything
+    for cap in (1 << 10, pk.DEFAULT_CAP):
+        with pytest.raises(pk.CapExceeded):
+            pk.enumerate_antichains(pk.antichain_poset(1100), cap=cap)
+    # one bottom and one top around 1100 incomparable elements: the walk
+    # goes 1100 members deep before it reaches the cap
+    n = 1102
+    P = pk.poset_from_relations(n, [(1, j) for j in range(2, n)] + [(j, n) for j in range(2, n)])
+    with pytest.raises(pk.CapExceeded):
+        pk.enumerate_antichains(P, cap=2000)
+
+
 def test_antichain_count_matches_subset_filter():
     for P in all_posets_upto_iso(4):
         assert len(pk.enumerate_antichains(P)) == len(brute_antichains(P))

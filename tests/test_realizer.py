@@ -1,12 +1,14 @@
 import importlib
 import itertools
 import random
+import re
 
 import pytest
 
 import posetkit as pk
 
 from conftest import all_posets_upto_iso, random_two_dim
+from reference_orientation import reference_orientation, reference_realizer
 
 
 def brute_has_transitive_orientation(P):
@@ -108,6 +110,60 @@ def test_realizer_rejects_a_non_transitive_orientation(monkeypatch):
                         lambda P: [(1, 2), (2, 3), (3, 1)])
     with pytest.raises(pk.ContractViolation):
         pk.realizer(pk.antichain_poset(3))
+
+
+def test_realizer_rejects_orders_that_do_not_intersect_to_the_poset(monkeypatch):
+    # these arcs give each order distinct ranks, but sigma = (2, 1, 3) puts
+    # 2 ahead of 1 although 1 < 2
+    module = importlib.import_module("posetkit.realizer")
+    monkeypatch.setattr(module, "transitive_orientation",
+                        lambda P: [(1, 2), (2, 1), (2, 3)])
+    with pytest.raises(pk.ContractViolation, match="mismatch"):
+        pk.realizer(pk.poset_from_relations(3, [(1, 2)]))
+
+
+def _assert_matches_reference(P):
+    assert pk.transitive_orientation(P) == reference_orientation(P)
+    r = pk.realizer(P)
+    assert (r.sigma, r.sigma_bar) == reference_realizer(P)
+
+
+def test_realizer_matches_reference_on_random_two_dim():
+    rng = random.Random(2024)
+    for n in range(2, 101, 2):
+        _assert_matches_reference(random_two_dim(n, rng))
+
+
+def test_realizer_matches_reference_on_chain_unions():
+    # complete multipartite incomparability graphs, up to n = 110
+    for lengths in ([1, 1], [2, 3], [5, 5, 5], [30, 20], [70, 1],
+                    [40, 30, 26], [37, 37, 36], [55, 55]):
+        _assert_matches_reference(pk.chain_union(lengths))
+
+
+def test_realizer_matches_reference_on_small_posets():
+    for n in range(1, 6):
+        for P in all_posets_upto_iso(n):
+            _assert_matches_reference(P)
+
+
+def test_not_two_dimensional_names_an_incomparable_edge():
+    rng = random.Random(9)
+    sample = [pk.chevron()]
+    while len(sample) < 30:
+        n = rng.randint(6, 9)
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                 if rng.random() < 0.3]
+        P = pk.poset_from_relations(n, pairs)
+        if reference_orientation(P) is None:
+            sample.append(P)
+    for P in sample:
+        with pytest.raises(pk.NotTwoDimensional) as exc:
+            pk.transitive_orientation(P)
+        a, b = map(int, re.search(r"edge (\d+),(\d+) ", str(exc.value)).groups())
+        assert P.incomparable(a, b)
+        with pytest.raises(pk.NotTwoDimensional):
+            pk.realizer(P)
 
 
 def test_non_separating():

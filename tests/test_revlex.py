@@ -1,5 +1,6 @@
 """Tests for the set comparator and the two sorted downset orders."""
 
+import importlib
 import itertools
 import random
 
@@ -184,6 +185,43 @@ def test_diametral_pair_matches_brute_diameter():
         L1, L2 = pk.diametral_pair(P)
         diam, _ = pk.brute_led_downset(P)
         assert pk.reversal_distance(L1, L2) == diam
+
+
+def test_diametral_pair_sorts_one_downset_list_for_both_orders(monkeypatch):
+    rng = random.Random(12)
+    posets = [pk.antichain_poset(4), pk.chain_union([3, 2])]
+    posets += [random_two_dim(n, rng) for n in range(1, 10)]
+    expected = []
+    for P in posets:
+        r = pk.realizer(P)
+        expected.append((pk.build_revlex_extension(P, r.sigma),
+                         pk.build_revlex_extension(P, r.sigma_bar)))
+    calls = []
+    monkeypatch.setattr(importlib.import_module("posetkit.revlex"), "all_downsets",
+                        lambda P, cap: calls.append(P) or pk.all_downsets(P, cap))
+    for P, pair in zip(posets, expected):
+        assert pk.diametral_pair(P) == pair
+        assert pk.diametral_pair(P, r=pk.realizer(P)) == pair
+    assert len(calls) == 2 * len(posets)
+
+
+def test_diametral_pair_checks_the_lattice_size_first(monkeypatch):
+    revlex = importlib.import_module("posetkit.revlex")
+    monkeypatch.setattr(revlex, "all_downsets", None)
+    with pytest.raises(pk.CapExceeded):
+        pk.diametral_pair(pk.antichain_poset(5), cap=31)
+    with pytest.raises(pk.CapExceeded):
+        pk.diametral_pair(pk.antichain_poset(40))
+    monkeypatch.undo()
+    assert len(pk.diametral_pair(pk.antichain_poset(5), cap=32)[0]) == 32
+
+
+def test_diametral_pair_rejects_orders_that_do_not_extend_the_poset():
+    P = pk.chain_union([2, 1])
+    with pytest.raises(pk.NotALinearExtension):
+        pk.diametral_pair(P, r=pk.Realizer2D((1, 2, 3), (3, 2, 1)))
+    with pytest.raises(pk.NotALinearExtension):
+        pk.diametral_pair(P, r=pk.Realizer2D((2, 1, 3), (1, 2, 3)))
 
 
 def test_diametral_pair_rejects_chevron():
