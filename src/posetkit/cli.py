@@ -73,9 +73,10 @@ def _digest(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
-def _read(path: str) -> str:
+def _load(path: str) -> tuple:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        text = fh.read()
+    return text, parse_poset(text)
 
 
 def _run_led_bool(args) -> tuple:
@@ -85,8 +86,7 @@ def _run_led_bool(args) -> tuple:
 
 
 def _run_led_downset(args) -> tuple:
-    text = _read(args.file)
-    P = parse_poset(text)
+    text, P = _load(args.file)
     if args.upper_bound_only:
         return text, {"upper_bound": str(led_upper_bound(P))}
     b = led_downset(P)
@@ -100,8 +100,7 @@ def _run_led_downset(args) -> tuple:
 
 
 def _run_diametral(args) -> tuple:
-    text = _read(args.file)
-    P = parse_poset(text)
+    text, P = _load(args.file)
     r = realizer(P)
     L1, L2 = diametral_pair(P, args.max_lattice, r)
     coords = dominance_coordinates(L1, L2)
@@ -113,16 +112,16 @@ def _run_diametral(args) -> tuple:
         "extension_2": [list(d) for d in L2.order],
     }
     if args.svg:
-        covers = downset_covers(P, L1.order)
+        # render first: a bad --scale must not truncate an existing file
+        svg = dominance_svg(coords, downset_covers(P, L1.order), args.scale)
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(dominance_svg(coords, covers, args.scale))
+            fh.write(svg)
         result["svg"] = args.svg
     return text, result
 
 
 def _run_oracle(args) -> tuple:
-    text = _read(args.file)
-    P = parse_poset(text)
+    text, P = _load(args.file)
     if args.mode == "diameter":
         diam, pairs = le_graph_diameter(P, args.cap)
         result = {
@@ -148,8 +147,7 @@ def _run_oracle(args) -> tuple:
 
 
 def _run_count_antichains(args) -> tuple:
-    text = _read(args.file)
-    P = parse_poset(text)
+    text, P = _load(args.file)
     sigma = realizer(P).sigma
     table = count_table(P, sigma)
     return text, {

@@ -10,6 +10,7 @@ checked up front and SeparatingExtension raised otherwise.
 from __future__ import annotations
 
 from itertools import accumulate
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ContractViolation, IndexOutOfRange, SeparatingExtension
@@ -62,23 +63,22 @@ class _Engine:
                 f"{tuple(sigma)} separates a comparable pair"
             )
         n = P.n
-        self.P = P
         self.sigma = tuple(sigma)
-        pos = {e: p for p, e in enumerate(self.sigma)}
+        pos = {e - 1: p for p, e in enumerate(self.sigma)}
         up = [0] * n
         down = [0] * n
-        inc = [0] * n
         for p, e in enumerate(self.sigma):
             for f in _bits(P.up_masks[e - 1]):
-                up[p] |= 1 << pos[f + 1]
-            for f in _bits(P.down_masks[e - 1]):
-                down[p] |= 1 << pos[f + 1]
-            for f in _bits(P.inc_masks[e - 1]):
-                inc[p] |= 1 << pos[f + 1]
+                up[p] |= 1 << pos[f]
+                down[pos[f]] |= 1 << p
+        full = (1 << n) - 1
         self.n = n
         self.up = up
         self.down = down
-        self.inc = inc
+        self.inc = [full & ~(up[p] | down[p] | 1 << p) for p in range(n)]
+        # ends[p] = a(inc[p] before p): the antichains whose sigma-last
+        # member is x_p; 1 + sum(ends) counts all antichains of P
+        self.ends = self.sweep(full)
 
     def sweep(self, mask: int, backward: bool = False) -> list:
         """One pass of the antichain DP over the positions in mask.
@@ -90,10 +90,7 @@ class _Engine:
         (suffix)."""
         inc = self.inc
         vals = [0] * self.n
-        order = list(_bits(mask))
-        if backward:
-            order.reverse()
-        for p in order:
+        for p in sorted(_bits(mask), reverse=backward):
             m = inc[p] & mask & (-(2 << p) if backward else (1 << p) - 1)
             s = 1
             while m:
@@ -102,22 +99,6 @@ class _Engine:
                 m ^= low
             vals[p] = s
         return vals
-
-    def size_rows(self) -> list:
-        """size_rows()[p][r-1] = number of r-element antichains whose
-        sigma-largest member is at position p."""
-        inc = self.inc
-        rows = []
-        for p in range(self.n):
-            row = [1]
-            for q in _bits(inc[p] & ((1 << p) - 1)):
-                other = rows[q]
-                for r in range(len(other)):
-                    if r + 1 >= len(row):
-                        row.append(0)
-                    row[r + 1] += other[r]
-            rows.append(row)
-        return rows
 
     def tables(self) -> tuple:
         """Rows d1, d2, dd with d1[k][l] = delta1, d2[k][l] = delta2 and
@@ -156,9 +137,13 @@ class _Engine:
         3. Likewise P_{i,k,l} = (i, k) & inc[i] & inc[k]: its count is the
            full sum of fact 2's sweep with k' = i.  The side count
            a(prefix(i) & inc[l]) is a prefix sum of the forward sweep over
-           all of P (an antichain ending in inc[l] before x_l lies there),
-           one pass per l; the final sum's a(inc[k] after l) is a suffix
-           sum of the backward sweep, one pass per k.
+           all of P, `ends` (an antichain ending in inc[l] before x_l lies
+           there), one pass per l; the final sum's a(inc[k] after l) is a
+           suffix sum of the backward sweep `starts`, one pass per k.  The
+           two full sweeps also give gamma: ends[p] = a(inc[p] before p)
+           and starts[p] = a(inc[p] after p), no member of the one set is
+           comparable to a member of the other, so ends[p] * starts[p]
+           antichains contain x_p.
         4. Case B's filters x_l' || x_l and x_k' < x_l read, by fact 1,
            sbar(k') < sbar(l) < sbar(l'); so for fixed k each (k', l')
            term adds to one interval of sigma_bar ranks, and one
@@ -177,7 +162,7 @@ class _Engine:
         sbar = [down[p].bit_count() + (inc[p] >> (p + 1)).bit_count() for p in range(n)]
         if sorted(sbar) != list(range(n)):
             raise ContractViolation("conjugate ranks of sigma are not a permutation")
-        ends = self.sweep((1 << n) - 1)
+        ends = self.ends
         # left[l][i] = a(prefix(i) & inc[l]) for i < l
         left = []
         for l in range(n):
@@ -245,9 +230,8 @@ class AntichainCountTable(NamedTuple):
 
 def count_antichains(P: Poset, sigma: Sequence[int]) -> AntichainCountTable:
     eng = _Engine(P, sigma)
-    vals = eng.sweep((1 << eng.n) - 1)
-    per = {eng.sigma[p]: vals[p] for p in range(eng.n)}
-    return AntichainCountTable(per, 1 + sum(vals))
+    per = {eng.sigma[p]: eng.ends[p] for p in range(eng.n)}
+    return AntichainCountTable(per, 1 + sum(eng.ends))
 
 
 class SizeVector(NamedTuple):
@@ -255,24 +239,38 @@ class SizeVector(NamedTuple):
 
 
 def size_vectors(P: Poset, sigma: Sequence[int]) -> SizeVector:
+    """The antichain DP graded by size: s[(x_p, r)] counts the r-element
+    antichains whose sigma-last member is x_p, so summing over r gives
+    count_antichains.  Weighting by r gives gamma / 2, which led_downset
+    reads off the ungraded sweeps instead (see gamma)."""
     eng = _Engine(P, sigma)
-    rows = eng.size_rows()
-    s = {}
+    rows = []
     for p in range(eng.n):
-        for r, v in enumerate(rows[p], start=1):
-            if v:
-                s[(eng.sigma[p], r)] = v
-    return SizeVector(s)
+        row = [1]
+        for q in _bits(eng.inc[p] & ((1 << p) - 1)):
+            other = rows[q]
+            row.extend([0] * (len(other) + 1 - len(row)))
+            for r, v in enumerate(other, start=1):
+                row[r] += v
+        rows.append(row)
+    return SizeVector({(eng.sigma[p], r): v for p in range(eng.n)
+                       for r, v in enumerate(rows[p], start=1)})
 
 
-def _gamma(rows: list) -> int:
-    return 2 * sum(r * v for row in rows for r, v in enumerate(row, start=1))
+def _gamma(ends: list, starts: list) -> int:
+    return 2 * sum(map(mul, ends, starts))
 
 
 def gamma(P: Poset, sigma: Sequence[int]) -> int:
     """Twice the number of ordered pairs (A, A - x): each antichain counted
-    with multiplicity its cardinality, doubled."""
-    return _gamma(_Engine(P, sigma).size_rows())
+    with multiplicity its cardinality, doubled.
+
+    The antichains through x_p are x_p plus an antichain of inc[p] before
+    p and one of inc[p] after p; sigma being non-separating, any two such
+    halves are incomparable, so there are ends[p] * starts[p] of them,
+    from the forward and the backward sweep over all of P."""
+    eng = _Engine(P, sigma)
+    return _gamma(eng.ends, eng.sweep((1 << eng.n) - 1, backward=True))
 
 
 def _check_pos(n: int, p: int) -> None:
@@ -341,14 +339,14 @@ def led_downset(P: Poset, sigma: Sequence[int] | None = None) -> LedBreakdown:
         sigma = realizer(P).sigma
     eng = _Engine(P, sigma)
     n = eng.n
-    rows = eng.size_rows()
-    a_total = 1 + sum(map(sum, rows))
+    a_total = 1 + sum(eng.ends)
     alpha = a_total * a_total
     beta = a_total
-    gam = _gamma(rows)
-    d1_rows, d2_rows, dd = eng.tables()
-    # dd(k, l) * a(inc[k] after l), the suffix sums of one backward sweep
+    # the backward sweep: starts[p] = a(inc[p] after p)
     starts = eng.sweep((1 << n) - 1, backward=True)
+    gam = _gamma(eng.ends, starts)
+    d1_rows, d2_rows, dd = eng.tables()
+    # dd(k, l) * a(inc[k] after l), the suffix sums of starts
     delta = 0
     for k in range(n):
         row = dd[k]

@@ -21,6 +21,7 @@ from .poset import (
     downset_lattice,
     downset_of,
     enumerate_antichains,
+    incomparable_pairs,
     max_of,
     min_of,
 )
@@ -65,10 +66,7 @@ def _reversal_masks(P: Poset, exts: list) -> tuple:
     """Bit per unordered incomparable pair, set when the pair appears in
     descending element order; XOR popcount of two masks is the reversal
     distance."""
-    pairs = []
-    for i in range(P.n):
-        m = P.inc_masks[i] >> (i + 1) << (i + 1)
-        pairs.extend((i + 1, j + 1) for j in _bits(m))
+    pairs = incomparable_pairs(P)
     masks = []
     for ext in exts:
         pos = {e: p for p, e in enumerate(ext)}

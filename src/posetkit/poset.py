@@ -104,14 +104,6 @@ class Poset:
         _check_index(self.n, b)
         return a != b and not self.less(a, b) and not self.less(b, a)
 
-    def up_set(self, a: int) -> frozenset:
-        _check_index(self.n, a)
-        return frozenset(j + 1 for j in _bits(self._up[a - 1]))
-
-    def down_set(self, a: int) -> frozenset:
-        _check_index(self.n, a)
-        return frozenset(j + 1 for j in _bits(self._down[a - 1]))
-
     def relation_pairs(self) -> list:
         """All ordered pairs (a, b) with a < b in the poset."""
         return [(i + 1, j + 1) for i in range(self.n) for j in _bits(self._up[i])]
@@ -143,19 +135,14 @@ def poset_from_relations(n: int, pairs: Iterable[tuple]) -> Poset:
         if a == b:
             raise CycleDetected(f"{a} < {a} is not irreflexive")
         succ[a - 1] |= 1 << (b - 1)
-    # closure by iterating row expansion to a fixed point; n stays small
-    # enough here that simplicity beats cleverness
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            m = succ[i]
-            acc = m
-            for j in _bits(m):
-                acc |= succ[j]
-            if acc != m:
-                succ[i] = acc
-                changed = True
+    # Warshall: step k adds every arc of a path whose inner elements are <= k
+    for k in range(n):
+        row = succ[k]
+        if row:
+            bit = 1 << k
+            for i, m in enumerate(succ):
+                if m & bit:
+                    succ[i] = m | row
     for i in range(n):
         if succ[i] >> i & 1:
             raise CycleDetected("relations contain a cycle")
@@ -268,22 +255,17 @@ def enumerate_antichains(P: Poset, cap: int = DEFAULT_CAP) -> list:
 
 
 def all_downsets(P: Poset, cap: int = DEFAULT_CAP) -> list:
-    """Every downset as a bitmask, sorted by numeric mask value."""
-    seen = {0}
-    stack = [0]
-    while stack:
-        s = stack.pop()
-        # grow by any currently minimal element of the complement
-        for j in range(P.n):
-            if s >> j & 1 or P._down[j] & ~s:
-                continue
-            t = s | 1 << j
-            if t not in seen:
-                if len(seen) >= cap:
-                    raise CapExceeded(f"more than {cap} downsets")
-                seen.add(t)
-                stack.append(t)
-    return sorted(seen)
+    """Every downset as a bitmask, sorted by numeric mask value: the
+    down-closures of the antichains, one per antichain (Birkhoff)."""
+    down = P._down
+    out = []
+    for A in enumerate_antichains(P, cap):
+        mask = 0
+        for e in A:
+            mask |= 1 << (e - 1) | down[e - 1]
+        out.append(mask)
+    out.sort()
+    return out
 
 
 class DownsetLattice(NamedTuple):

@@ -161,6 +161,17 @@ def test_diametral_svg(tmp_path, capsys):
         assert content == pk.dominance_svg(coords, covers, 24)
 
 
+def test_diametral_bad_scale_leaves_an_existing_svg_alone(tmp_path, capsys):
+    path = _poset_file(tmp_path, pk.chain_union([2, 2]))
+    svg_path = tmp_path / "picture.svg"
+    svg_path.write_text("<svg>earlier drawing</svg>\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["diametral", path, "--svg", str(svg_path), "--scale", "0"])
+    assert code == 1
+    assert out == ""
+    assert "scale" in err
+    assert svg_path.read_text(encoding="utf-8") == "<svg>earlier drawing</svg>\n"
+
+
 def test_diametral_matches_led_downset(tmp_path, capsys):
     P = pk.poset_from_relations(5, [(1, 3), (1, 5), (2, 3), (2, 5), (4, 5)])
     path = _poset_file(tmp_path, P)

@@ -135,6 +135,49 @@ def test_gamma_examples():
     assert pk.gamma(pk.chain(2), (1, 2)) == 4
 
 
+def _non_separating_sigmas(P):
+    """sigma and sigma_bar of the realizer, and for small P every other
+    non-separating extension."""
+    r = pk.realizer(P)
+    sigmas = [r.sigma, r.sigma_bar]
+    if P.n <= 6:
+        sigmas += [s for s in pk.all_linear_extensions(P) if pk.is_non_separating(P, s)]
+    return sigmas
+
+
+def test_gamma_is_twice_the_antichain_memberships():
+    # gamma = 2 * sum over antichains of |A|, from the product of the two
+    # sweeps; the graded size_vectors weigh the same sum by size
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(60):
+        P = random_two_dim(rng.randint(1, 9), rng)
+        want = 2 * sum(len(A) for A in brute_antichains(P))
+        for sigma in _non_separating_sigmas(P):
+            assert pk.gamma(P, sigma) == want
+            weighted = sum(r * v for (_, r), v in pk.size_vectors(P, sigma).s.items())
+            assert 2 * weighted == want
+            assert pk.led_downset(P, sigma).gamma == want
+            checked += 1
+    assert checked > 200
+
+
+def test_led_downset_runs_two_full_sweeps(monkeypatch):
+    # the forward and the backward sweep over all of P, nothing graded
+    full_sweeps = []
+    sweep = pk.led._Engine.sweep
+
+    def spy(self, mask, backward=False):
+        if mask == (1 << self.n) - 1:
+            full_sweeps.append(backward)
+        return sweep(self, mask, backward)
+
+    monkeypatch.setattr(pk.led._Engine, "sweep", spy)
+    P = random_two_dim(12, random.Random(3))
+    pk.led_downset(P)
+    assert sorted(full_sweeps) == [False, True]
+
+
 # ---------------------------------------------------------------------------
 # restricted subposets
 

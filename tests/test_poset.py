@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +7,54 @@ from hypothesis import given, settings, strategies as st
 import posetkit as pk
 from posetkit.poset import _bits, is_antichain
 
-from conftest import all_posets_upto_iso, brute_antichains
+from conftest import all_posets_upto_iso, brute_antichains, random_two_dim
+
+
+def _reachability(n, pairs):
+    """Reference closure: breadth-first search from every element."""
+    succ = {a: [] for a in range(1, n + 1)}
+    for a, b in pairs:
+        succ[a].append(b)
+    reach = {}
+    for a in succ:
+        seen, frontier = set(), [a]
+        while frontier:
+            frontier = [b for x in frontier for b in succ[x] if b not in seen]
+            seen.update(frontier)
+        reach[a] = seen
+    return reach
 
 
 def test_from_relations_takes_closure():
     P = pk.poset_from_relations(3, [(1, 2), (2, 3)])
     assert P.less(1, 3)
     assert P.relation_pairs() == [(1, 2), (1, 3), (2, 3)]
+    rng = random.Random(41)
+    cases = []
+    for _ in range(40):
+        # the covers of a long chain, relabeled and shuffled
+        n = rng.randint(2, 80)
+        labels = rng.sample(range(1, n + 1), n)
+        covers = list(zip(labels, labels[1:]))
+        rng.shuffle(covers)
+        cases.append((n, covers))
+        # random arcs along a hidden order, and random arcs in any direction
+        n = rng.randint(2, 20)
+        labels = rng.sample(range(1, n + 1), n)
+        arcs = [sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3 * n))]
+        cases.append((n, [(labels[i], labels[j]) for i, j in arcs]))
+        cases.append((n, [tuple(rng.sample(labels, 2)) for _ in range(rng.randint(0, 2 * n))]))
+    cycles = 0
+    for n, pairs in cases:
+        reach = _reachability(n, pairs)
+        if any(a in reach[a] for a in reach):
+            cycles += 1
+            with pytest.raises(pk.CycleDetected):
+                pk.poset_from_relations(n, pairs)
+        else:
+            want = sorted((a, b) for a in reach for b in reach[a])
+            assert pk.poset_from_relations(n, pairs).relation_pairs() == want
+    assert 0 < cycles < len(cases)
 
 
 def test_rejects_cycles_and_bad_ids():
@@ -150,6 +192,31 @@ def test_enumerate_antichains_on_wide_and_deep_posets():
 def test_antichain_count_matches_subset_filter():
     for P in all_posets_upto_iso(4):
         assert len(pk.enumerate_antichains(P)) == len(brute_antichains(P))
+
+
+def _downsets_by_subset_filter(P):
+    full = (1 << P.n) - 1
+    return [m for m in range(full + 1)
+            if all(not P.down_masks[j] & ~m for j in _bits(m))]
+
+
+def test_all_downsets_match_subset_filter():
+    posets = all_posets_upto_iso(4) + [pk.chevron()]
+    rng = random.Random(43)
+    posets += [random_two_dim(rng.randint(1, 10), rng) for _ in range(40)]
+    for P in posets:
+        downsets = pk.all_downsets(P)
+        assert downsets == _downsets_by_subset_filter(P)
+        # the cap is exact
+        assert pk.all_downsets(P, cap=len(downsets)) == downsets
+        with pytest.raises(pk.CapExceeded):
+            pk.all_downsets(P, cap=len(downsets) - 1)
+
+
+def test_all_downsets_refuses_a_wide_poset_before_listing():
+    # 2^40 downsets: the width check refuses at once
+    with pytest.raises(pk.CapExceeded):
+        pk.all_downsets(pk.antichain_poset(40))
 
 
 def test_downset_lattice_of_antichain_is_boolean():
