@@ -103,7 +103,6 @@ def _run_diametral(args) -> tuple:
     text, P = _load(args.file)
     r = realizer(P)
     L1, L2 = diametral_pair(P, args.max_lattice, r)
-    coords = dominance_coordinates(L1, L2)
     result = {
         "sigma": list(r.sigma),
         "sigma_bar": list(r.sigma_bar),
@@ -113,6 +112,7 @@ def _run_diametral(args) -> tuple:
     }
     if args.svg:
         # render first: a bad --scale must not truncate an existing file
+        coords = dominance_coordinates(L1, L2)
         svg = dominance_svg(coords, downset_covers(P, L1.order), args.scale)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)

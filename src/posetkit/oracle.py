@@ -8,7 +8,6 @@ formula in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import CapExceeded, ContractViolation, MismatchedGroundSets
@@ -25,7 +24,7 @@ from .poset import (
     max_of,
     min_of,
 )
-from .revlex import LatticeExtension
+from .revlex import LatticeExtension, _common_ground
 
 _BFS_ALL_SOURCES_LIMIT = 256
 
@@ -161,8 +160,7 @@ def brute_led_downset(P: Poset, cap: int = DEFAULT_CAP) -> tuple:
     return diam, as_downs
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(NamedTuple):
     """All ordered antichain pairs (A, B) sharing A - B union B - A = D and
     A intersect B = I, generated through the subset bijection: K a set of
     components of the subposet on D, X_K collecting Max of the chosen
@@ -225,8 +223,7 @@ def _positions_of(C: EquivalenceClass, L: LatticeExtension) -> list:
 def class_reversals(C: EquivalenceClass, L1: LatticeExtension,
                     L2: LatticeExtension) -> int:
     """Unordered downset pairs of the class ordered oppositely by L1, L2."""
-    if set(L1.order) != set(L2.order):
-        raise MismatchedGroundSets("extensions order different downset families")
+    _common_ground(L1, L2)
     p1 = _positions_of(C, L1)
     p2 = _positions_of(C, L2)
     seen = set()
@@ -247,8 +244,7 @@ def kleitman_families(C: EquivalenceClass, L1: LatticeExtension,
     L_i.  Both families come out downward closed with 2^(d-1) members, and
     |F1| * |F2| <= 2^d * |F1 and F2| (the counting inequality behind the
     class contribution bound); all three facts are checked."""
-    if set(L1.order) != set(L2.order):
-        raise MismatchedGroundSets("extensions order different downset families")
+    _common_ground(L1, L2)
     d = len(C.components)
     pos = [_positions_of(C, L) for L in (L1, L2)]
     fams = (set(), set())

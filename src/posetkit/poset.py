@@ -299,13 +299,15 @@ def cover_pairs(P: Poset) -> list:
 
 def downset_covers(P: Poset, downsets: Iterable[tuple]) -> list:
     """Covering pairs (D, D + x) of the downset lattice, x minimal outside D:
-    the lattice is distributive, so these are all of its covers."""
+    the lattice is distributive, so these are all of its covers.  downsets
+    must be every downset of P, as tuples; the pairs hold those tuples."""
+    by_mask = {sum(1 << (e - 1) for e in D): D for D in downsets}
+    full, down = (1 << P.n) - 1, P._down
     out = []
-    for D in downsets:
-        mask = _mask_of(P.n, D)
-        for j in _bits(~mask & ((1 << P.n) - 1)):
-            if not P._down[j] & ~mask:
-                out.append((D, tuple(k + 1 for k in _bits(mask | 1 << j))))
+    for mask, D in by_mask.items():
+        for j in _bits(full & ~mask):
+            if not down[j] & ~mask:
+                out.append((D, by_mask[mask | 1 << j]))
     return out
 
 

@@ -3,8 +3,7 @@ and the realizer pair (sigma, sigma_bar) it induces."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ContractViolation, NotALinearExtension, NotTwoDimensional
 from .poset import Poset, _bits
@@ -83,8 +82,7 @@ def is_two_dimensional(P: Poset) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Realizer2D:
+class Realizer2D(NamedTuple):
     sigma: tuple
     sigma_bar: tuple
 

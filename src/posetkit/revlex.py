@@ -7,8 +7,7 @@ downsets of P this way yields a linear extension of the downset lattice.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, EqualSets, IndexOutOfRange, MismatchedGroundSets
 from .led import count_antichains
@@ -31,17 +30,20 @@ def revlex_less(sigma: Sequence[int], S: Iterable[int], T: Iterable[int]) -> boo
     return max(s ^ t, key=pos.__getitem__) in t
 
 
-@dataclass(frozen=True)
-class LatticeExtension:
+class LatticeExtension(NamedTuple):
     order: tuple             # downsets as sorted tuples, smallest first
     index: dict              # downset tuple -> 1-based position
 
-    def __len__(self) -> int:
+    def __len__(self) -> int:  # the number of downsets, not of fields
         return len(self.order)
 
 
-def _sorted_for(masks: list, sigma: Sequence[int]) -> LatticeExtension:
-    """The downset masks sorted by revlex_less for sigma.
+def _as_tuples(masks: list) -> dict:  # mask -> sorted tuple, once per downset
+    return {m: tuple(j + 1 for j in _bits(m)) for m in masks}
+
+
+def _sorted_for(tuples: dict, sigma: Sequence[int]) -> LatticeExtension:
+    """The downsets (a mask -> tuple map) sorted by revlex_less for sigma.
 
     Mapping a downset to the bitmask of the sigma positions of its members
     turns the comparator into plain integer less-than (the highest bit of
@@ -56,7 +58,7 @@ def _sorted_for(masks: list, sigma: Sequence[int]) -> LatticeExtension:
             k |= 1 << pos[j + 1]
         return k
 
-    order = tuple(tuple(j + 1 for j in _bits(m)) for m in sorted(masks, key=key))
+    order = tuple(map(tuples.__getitem__, sorted(tuples, key=key)))
     return LatticeExtension(order, {d: p for p, d in enumerate(order, start=1)})
 
 
@@ -65,7 +67,7 @@ def build_revlex_extension(
 ) -> LatticeExtension:
     """All downsets of P sorted by revlex_less for sigma."""
     _require_extension(P, sigma)
-    return _sorted_for(all_downsets(P, cap), sigma)
+    return _sorted_for(_as_tuples(all_downsets(P, cap)), sigma)
 
 
 def _common_ground(L1: LatticeExtension, L2: LatticeExtension) -> None:
@@ -111,8 +113,8 @@ def diametral_pair(P: Poset, cap: int = DEFAULT_CAP,
     _require_extension(P, r.sigma_bar)  # count_antichains checks sigma
     if count_antichains(P, r.sigma).total > cap:
         raise CapExceeded(f"more than {cap} downsets")
-    masks = all_downsets(P, cap)
-    return _sorted_for(masks, r.sigma), _sorted_for(masks, r.sigma_bar)
+    tuples = _as_tuples(all_downsets(P, cap))
+    return _sorted_for(tuples, r.sigma), _sorted_for(tuples, r.sigma_bar)
 
 
 def dominance_coordinates(L1: LatticeExtension, L2: LatticeExtension) -> dict:

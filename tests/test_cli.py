@@ -3,7 +3,11 @@
 import hashlib
 import importlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +311,15 @@ def test_verbose_timing_goes_to_stderr(capsys):
     _payload(out)
     assert "elapsed_ms=" in err
     assert "elapsed_ms" not in out
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # the records are NamedTuples, so the CLI does not pay for dataclasses
+    # and the inspect module it pulls in (whatever site loaded is not ours)
+    src = str(Path(pk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys; before = set(sys.modules); import posetkit.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -244,7 +244,10 @@ def test_downset_covers_match_the_lattice_covers():
     # the direct covers agree with the covers of the full inclusion order,
     # also off two dimensions (the chevron)
     posets = [pk.chain(3), pk.antichain_poset(4), pk.chain_union([2, 3]), pk.chevron()]
+    posets += [pk.chain_union([3, 1, 2]), pk.chain_union([4, 4])]
     posets += all_posets_upto_iso(4)
+    rng = random.Random(31)
+    posets += [random_two_dim(rng.randint(1, 10), rng) for _ in range(30)]
     for P in posets:
         dl = pk.downset_lattice(P)
         want = sorted((dl.downsets[a - 1], dl.downsets[b - 1])

@@ -205,6 +205,38 @@ def test_diametral_pair_sorts_one_downset_list_for_both_orders(monkeypatch):
     assert len(calls) == 2 * len(posets)
 
 
+def test_diametral_pair_shares_one_tuple_per_downset():
+    # both orders and the covers hold the very tuple objects of one listing
+    rng = random.Random(23)
+    posets = [pk.chain(3), pk.antichain_poset(4), pk.chain_union([2, 3])]
+    posets += [random_two_dim(n, rng) for n in range(1, 11)]
+    for P in posets:
+        L1, L2 = pk.diametral_pair(P)
+        same = {d: d for d in L1.order}
+        assert len(same) == len(L1) == len(L2)
+        assert all(same[d] is d for d in L2.order)
+        covers = pk.poset.downset_covers(P, L1.order)
+        assert covers
+        assert all(same[a] is a and same[b] is b for a, b in covers)
+
+
+def test_records_are_read_only_tuples():
+    P = pk.chain_union([2, 1])
+    r = pk.realizer(P)
+    L1, L2 = pk.diametral_pair(P, r=r)
+    C = pk.enumerate_classes(P)[-1]
+    assert len(L1) == len(L1.order) == 6
+    assert tuple(r) == (r.sigma, r.sigma_bar)
+    for record in (r, L1, C):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+    sigma, sigma_bar = r
+    order, index = L1
+    assert (sigma, sigma_bar, order, index) == (r.sigma, r.sigma_bar, L1.order, L1.index)
+    assert L1 == pk.build_revlex_extension(P, r.sigma) != L2
+
+
 def test_diametral_pair_checks_the_lattice_size_first(monkeypatch):
     revlex = importlib.import_module("posetkit.revlex")
     monkeypatch.setattr(revlex, "all_downsets", None)
