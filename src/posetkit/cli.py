@@ -81,7 +81,7 @@ def _load(path: str) -> tuple:
 
 def _run_led_bool(args) -> tuple:
     if not 1 <= args.n <= 10 ** 4:
-        raise _Usage("n must lie in 1..10000")
+        raise ValueError("n must lie in 1..10000")
     return str(args.n), {"led": str(led_boolean(args.n))}
 
 
@@ -160,14 +160,10 @@ def _run_led_chains(args) -> tuple:
     try:
         lengths = [int(tok) for tok in args.lengths.split(",")]
     except ValueError:
-        raise _Usage(f"bad length list {args.lengths!r}")
+        raise ValueError(f"bad length list {args.lengths!r}")
     if not lengths or any(l < 1 for l in lengths):
-        raise _Usage("lengths must be positive integers")
+        raise ValueError("lengths must be positive integers")
     return args.lengths, {"led": str(led_chain_union(lengths))}
-
-
-class _Usage(Exception):
-    pass
 
 
 _RUNNERS = {
@@ -192,9 +188,6 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"posetkit: cap exceeded: {exc}", file=sys.stderr)
         return 3
-    except _Usage as exc:
-        print(f"posetkit: {exc}", file=sys.stderr)
-        return 1
     except (PosetkitError, OSError, ValueError) as exc:
         print(f"posetkit: {exc}", file=sys.stderr)
         return 1

@@ -9,12 +9,13 @@ checked up front and SeparatingExtension raised otherwise.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from collections import Counter
+from itertools import accumulate, combinations
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ContractViolation, IndexOutOfRange, SeparatingExtension
-from .poset import Poset, _bits, component_masks, enumerate_antichains, induced
+from .poset import Poset, _antichains, _bits, component_masks, induced
 from .realizer import _require_extension, is_non_separating, realizer
 
 
@@ -375,22 +376,11 @@ def led_upper_bound(P: Poset, cap: int = 1 << 10) -> int:
     contribute at most 2^(d-2) reversals to any pair of lattice extensions,
     d the number of components of the subposet on D.  Needs no realizer,
     so it also covers posets of dimension three and more."""
-    chains = enumerate_antichains(P, cap)
-    masks = [sum(1 << (e - 1) for e in A) for A in chains]
-    comp_count = {}
-
-    seen = set()
+    masks = [A for A, _ in _antichains(P, cap)]
+    classes = Counter(d for d, _ in {(a ^ b, a & b) for a, b in combinations(masks, 2)})
     total = 0
-    for x in range(len(masks)):
-        for y in range(x + 1, len(masks)):
-            d = masks[x] ^ masks[y]
-            key = (d, masks[x] & masks[y])
-            if key in seen:
-                continue
-            seen.add(key)
-            dcnt = comp_count.get(d)
-            if dcnt is None:
-                dcnt = comp_count[d] = len(component_masks(P, d))
-            if dcnt >= 2:
-                total += 1 << (dcnt - 2)
+    for d, k in classes.items():
+        c = len(component_masks(P, d))
+        if c >= 2:
+            total += k << (c - 2)
     return total

@@ -233,39 +233,42 @@ def maxima_of_downset(P: Poset, S: Iterable[int]) -> tuple:
     return tuple(j + 1 for j in _bits(mask) if not P._up[j] & mask)
 
 
-def enumerate_antichains(P: Poset, cap: int = DEFAULT_CAP) -> list:
-    """All antichains (the empty one first) in lexicographic order of their
-    sorted member tuples.  Raises CapExceeded past cap."""
+def _antichains(P: Poset, cap: int):
+    """Yield (A, D) for every antichain A, the empty one first, in
+    lexicographic order of the sorted member tuples: A as a bitmask and D
+    its down-closure.  Raises CapExceeded past cap."""
     # the minimal (or the maximal) elements form an antichain: k give 2^k
     if P.n and 1 << max(sum(not m for m in P._down), sum(not m for m in P._up)) > cap:
         raise CapExceeded(f"more than {cap} antichains")
-    out = [()]
-    # depth-first; a frame is a prefix and its candidates not yet tried
-    stack = [((), (1 << P.n) - 1)]
+    yield 0, 0
+    count, down, inc = 1, P._down, P._inc
+    # depth-first; a frame is an antichain, its closure and untried candidates
+    stack = [(0, 0, (1 << P.n) - 1)]
     while stack:
-        prefix, rest = stack.pop()
+        A, D, rest = stack.pop()
         if rest:
-            if len(out) >= cap:
+            if count >= cap:
                 raise CapExceeded(f"more than {cap} antichains")
+            count += 1
             low = rest & -rest
-            cur = prefix + (low.bit_length(),)
-            out.append(cur)
-            stack += [(prefix, rest ^ low), (cur, rest & P._inc[low.bit_length() - 1])]
-    return out
+            j = low.bit_length() - 1
+            A2, D2 = A | low, D | low | down[j]
+            yield A2, D2
+            stack += [(A, D, rest ^ low), (A2, D2, rest & inc[j])]
+
+
+def enumerate_antichains(P: Poset, cap: int = DEFAULT_CAP) -> list:
+    """All antichains as sorted tuples (the empty one first) in
+    lexicographic order.  Raises CapExceeded past cap."""
+    # tuples only once the listing is under cap: then each has <= log2(cap) members
+    masks = [A for A, _ in _antichains(P, cap)]
+    return [tuple(j + 1 for j in _bits(A)) for A in masks]
 
 
 def all_downsets(P: Poset, cap: int = DEFAULT_CAP) -> list:
     """Every downset as a bitmask, sorted by numeric mask value: the
     down-closures of the antichains, one per antichain (Birkhoff)."""
-    down = P._down
-    out = []
-    for A in enumerate_antichains(P, cap):
-        mask = 0
-        for e in A:
-            mask |= 1 << (e - 1) | down[e - 1]
-        out.append(mask)
-    out.sort()
-    return out
+    return sorted(D for _, D in _antichains(P, cap))
 
 
 class DownsetLattice(NamedTuple):

@@ -12,8 +12,12 @@ from .poset import Poset, _bits
 def is_linear_extension(P: Poset, order: Sequence[int]) -> bool:
     if sorted(order) != list(P.elements()):
         return False
-    pos = {e: k for k, e in enumerate(order)}
-    return all(pos[a] < pos[b] for a, b in P.relation_pairs())
+    seen, down = 0, P.down_masks
+    for e in order:  # every element must follow all that lie below it
+        if down[e - 1] & ~seen:
+            return False
+        seen |= 1 << (e - 1)
+    return True
 
 
 def _require_extension(P: Poset, order: Sequence[int]) -> None:

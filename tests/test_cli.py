@@ -225,6 +225,32 @@ def test_wide_antichain_exits_three(tmp_path, capsys):
         assert "more than" in err
 
 
+def test_wide_middle_layer_exits_three_within_memory(tmp_path):
+    # one bottom, one top and 1100 incomparable elements in between: the
+    # cap must trip before 2^20 antichains of ~1090 members fill memory
+    resource = pytest.importorskip("resource")
+    n = 1102
+    lines = [f"poset {n}"] + [f"1 < {k}" for k in range(2, n)]
+    lines += [f"{k} < {n}" for k in range(2, n)]
+    path = tmp_path / "wide.poset"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    limit = 1_500_000 * 1024  # as `ulimit -v 1500000`
+
+    def limit_address_space():  # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(pk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in (["oracle", str(path), "classes"],
+                 ["led-downset", str(path), "--upper-bound-only"]):
+        done = subprocess.run([sys.executable, "-m", "posetkit.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              preexec_fn=limit_address_space, timeout=120)
+        assert done.returncode == 3, done.stderr[-400:]
+        assert done.stdout == ""
+        assert "cap exceeded" in done.stderr
+
+
 def test_diametral_enumerates_downsets_once(tmp_path, capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(importlib.import_module("posetkit.revlex"), "all_downsets",

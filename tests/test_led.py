@@ -398,6 +398,27 @@ def test_led_upper_bound_tight_on_two_dimensional():
         assert pk.led_upper_bound(P) == pk.led_downset(P).led
 
 
+def _random_not_two_dim(n, rng):
+    while True:
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                 if rng.random() < 0.4]
+        P = pk.poset_from_relations(n, pairs)
+        try:
+            pk.realizer(P)
+        except pk.NotTwoDimensional:
+            return P
+
+
+def test_led_upper_bound_is_the_oracle_class_sum():
+    # one 2^(d-2) per class of the independent oracle with d >= 2 components
+    rng = random.Random(29)
+    posets = [P for n in range(5) for P in all_posets_upto_iso(n)] + [pk.chevron()]
+    posets += [_random_not_two_dim(7, rng) for _ in range(6)]
+    for P in posets:
+        sizes = [len(c.components) for c in pk.enumerate_classes(P)]
+        assert pk.led_upper_bound(P) == sum(1 << (d - 2) for d in sizes if d >= 2)
+
+
 def test_led_upper_bound_dominates_brute():
     # the chevron is not two-dimensional and the bound is strict there
     diam, _ = pk.brute_led_downset(pk.chevron())

@@ -78,6 +78,25 @@ def test_realizer_examples():
     assert pk.is_linear_extension(pk.chain_union([2, 1]), r.sigma)
 
 
+def test_is_linear_extension_matches_the_pairwise_definition():
+    rng = random.Random(31)
+    posets = [P for n in range(5) for P in all_posets_upto_iso(n)] + [pk.chevron()]
+    posets += [random_two_dim(6, rng) for _ in range(4)]
+    outcomes = set()
+    for P in posets:
+        for _ in range(12):
+            order = list(P.elements())
+            rng.shuffle(order)
+            pos = {e: k for k, e in enumerate(order)}
+            want = all(pos[a] < pos[b] for a, b in P.relation_pairs())
+            assert pk.is_linear_extension(P, order) == want
+            outcomes.add(want)
+        if P.n:
+            assert not pk.is_linear_extension(P, order[1:])
+            assert not pk.is_linear_extension(P, order + order[:1])
+    assert outcomes == {False, True}
+
+
 def test_realizer_intersection_is_poset():
     for P in all_posets_upto_iso(5):
         if not pk.is_two_dimensional(P):
