@@ -22,9 +22,9 @@ from .oracle import (
     enumerate_classes,
     le_graph_diameter,
 )
-from .poset import DEFAULT_CAP, downset_covers, parse_poset
+from .poset import DEFAULT_CAP, _bit_sums, _downset_covers, parse_poset
 from .realizer import realizer
-from .revlex import diametral_pair, dominance_coordinates, reversal_distance
+from .revlex import _inversions, _revlex_pair
 from .svg import dominance_svg
 
 
@@ -73,6 +73,35 @@ def _digest(data: str) -> str:
     return hashlib.sha256(data.encode("utf-8")).hexdigest()
 
 
+class _Json(str):
+    """JSON text laid out as _dumps lays out a top-level value."""
+
+
+def _enclose(brackets: str, items: list, pad: str) -> str:
+    """The indent=2 layout of a JSON array or object whose items are
+    rendered one level below pad (a newline and the current indent)."""
+    if not items:
+        return brackets
+    inner = pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+def _dumps(value, pad: str = "\n") -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2) for dicts
+    with string keys, lists and scalars.  A _Json value is written as
+    given, indented to its depth: JSON escapes the newlines inside
+    strings, so every newline in JSON text stands between tokens."""
+    if isinstance(value, _Json):
+        return value.replace("\n", pad)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [json.dumps(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
+        return _enclose("{}", items, pad)
+    if isinstance(value, (list, tuple)):
+        return _enclose("[]", [_dumps(v, inner) for v in value], pad)
+    return repr(value) if type(value) is int else json.dumps(value)
+
+
 def _load(path: str) -> tuple:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -102,18 +131,23 @@ def _run_led_downset(args) -> tuple:
 def _run_diametral(args) -> tuple:
     text, P = _load(args.file)
     r = realizer(P)
-    L1, L2 = diametral_pair(P, args.max_lattice, r)
+    o1, o2 = _revlex_pair(P, args.max_lattice, r)
+    at2 = {m: y for y, m in enumerate(o2, start=1)}
+    ys = [at2[m] for m in o1]  # L_sigma_bar position of each downset in L_sigma order
+    names = _bit_sums([[str(e)] for e in P.elements()], [])
+    texts = {m: _Json(_enclose("[]", names(m), "\n")) for m in o1}
     result = {
         "sigma": list(r.sigma),
         "sigma_bar": list(r.sigma_bar),
-        "distance": str(reversal_distance(L1, L2)),
-        "extension_1": [list(d) for d in L1.order],
-        "extension_2": [list(d) for d in L2.order],
+        "distance": str(_inversions(ys)),
+        "extension_1": [texts[m] for m in o1],
+        "extension_2": [texts[m] for m in o2],
     }
     if args.svg:
         # render first: a bad --scale must not truncate an existing file
-        coords = dominance_coordinates(L1, L2)
-        svg = dominance_svg(coords, downset_covers(P, L1.order), args.scale)
+        coords = {x: (x, y) for x, y in enumerate(ys, start=1)}
+        covers = _downset_covers(P, {m: x for x, m in enumerate(o1, start=1)})
+        svg = dominance_svg(coords, covers, args.scale)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
         result["svg"] = args.svg
@@ -198,7 +232,7 @@ def main(argv=None) -> int:
         "result": result,
         "version": __version__,
     }
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps(report) + "\n")
     if args.verbose:
         elapsed = (time.monotonic() - started) * 1000.0
         print(f"posetkit: elapsed_ms={elapsed:.1f}", file=sys.stderr)

@@ -174,7 +174,11 @@ class EquivalenceClass(NamedTuple):
 
 
 def enumerate_classes(P: Poset, cap: int = DEFAULT_CAP) -> list:
+    """Every class, sorted by (D, I).  The scan stores every ordered pair
+    of antichains, so more than cap pairs raise CapExceeded before it."""
     chains = enumerate_antichains(P, cap)
+    if len(chains) ** 2 > cap:
+        raise CapExceeded(f"more than {cap} antichain pairs")
     grouped = {}
     for A in chains:
         sa = set(A)

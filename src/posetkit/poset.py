@@ -46,6 +46,32 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _bit_sums(values: list, zero):
+    """The function mask -> the sum of values[j] over the set bits j of mask,
+    added in increasing j from zero, the empty sum.  One 256-entry table
+    per byte of the mask holds the sum for every value of that byte, so a
+    mask costs one lookup per byte instead of one step per member."""
+    values = values + [zero] * (-len(values) % 8)
+    tables = []
+    for lo in range(0, len(values), 8):
+        t = [zero] * 256
+        for v in range(1, 256):
+            low = v & -v
+            t[v] = values[lo + low.bit_length() - 1] + t[v ^ low]
+        tables.append(t)
+
+    def total(mask: int):
+        s = zero
+        for t in tables:
+            if not mask:
+                break
+            s = s + t[mask & 255]
+            mask >>= 8
+        return s
+
+    return total
+
+
 class Poset:
     """Strict order on {1..n}; construct via poset_from_relations or the
     factory functions below rather than passing raw masks."""
@@ -300,18 +326,28 @@ def cover_pairs(P: Poset) -> list:
     return out
 
 
-def downset_covers(P: Poset, downsets: Iterable[tuple]) -> list:
-    """Covering pairs (D, D + x) of the downset lattice, x minimal outside D:
-    the lattice is distributive, so these are all of its covers.  downsets
-    must be every downset of P, as tuples; the pairs hold those tuples."""
-    by_mask = {sum(1 << (e - 1) for e in D): D for D in downsets}
-    full, down = (1 << P.n) - 1, P._down
+def _downset_covers(P: Poset, label: dict) -> list:
+    """Covering pairs (label[D], label[D + x]) of the downset lattice: the
+    lattice is distributive, so these are all of its covers, one for each
+    x outside D for which D + x is again a downset.  label maps every
+    downset of P, as a mask, to what the pairs hold."""
+    full, above = (1 << P.n) - 1, label.get
     out = []
-    for mask, D in by_mask.items():
-        for j in _bits(full & ~mask):
-            if not down[j] & ~mask:
-                out.append((D, by_mask[mask | 1 << j]))
+    for mask, a in label.items():
+        rest = full & ~mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            b = above(mask | low)
+            if b is not None:
+                out.append((a, b))
     return out
+
+
+def downset_covers(P: Poset, downsets: Iterable[tuple]) -> list:
+    """Covering pairs (D, D + x) of the downset lattice.  downsets must be
+    every downset of P, as tuples; the pairs hold those tuples."""
+    return _downset_covers(P, {sum(1 << (e - 1) for e in D): D for D in downsets})
 
 
 def chain(n: int) -> Poset:

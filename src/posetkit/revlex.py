@@ -11,16 +11,12 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, EqualSets, IndexOutOfRange, MismatchedGroundSets
 from .led import count_antichains
-from .poset import DEFAULT_CAP, Poset, _bits, all_downsets
+from .poset import DEFAULT_CAP, Poset, _bit_sums, _bits, all_downsets
 from .realizer import Realizer2D, _require_extension, realizer
 
 
-def _positions(sigma: Sequence[int]) -> dict:
-    return {e: p for p, e in enumerate(sigma)}
-
-
 def revlex_less(sigma: Sequence[int], S: Iterable[int], T: Iterable[int]) -> bool:
-    pos = _positions(sigma)
+    pos = {e: p for p, e in enumerate(sigma)}
     s, t = set(S), set(T)
     if s == t:
         raise EqualSets("sets must differ")
@@ -42,23 +38,23 @@ def _as_tuples(masks: list) -> dict:  # mask -> sorted tuple, once per downset
     return {m: tuple(j + 1 for j in _bits(m)) for m in masks}
 
 
-def _sorted_for(tuples: dict, sigma: Sequence[int]) -> LatticeExtension:
-    """The downsets (a mask -> tuple map) sorted by revlex_less for sigma.
+def _position_key(sigma: Sequence[int]):
+    """The sort key that realizes revlex_less for sigma on element masks.
 
-    Mapping a downset to the bitmask of the sigma positions of its members
-    turns the comparator into plain integer less-than (the highest bit of
-    the XOR of two masks is the sigma-largest element of the symmetric
-    difference), so an integer sort key realizes exactly that order.
+    It maps an element mask to the mask of its members' sigma positions;
+    the highest bit of the XOR of two such masks is the sigma-largest
+    element of the symmetric difference, so integer less-than is exactly
+    revlex_less.
     """
-    pos = _positions(sigma)
+    bit = [0] * len(sigma)
+    for p, e in enumerate(sigma):
+        bit[e - 1] = 1 << p
+    return _bit_sums(bit, 0)
 
-    def key(mask: int) -> int:
-        k = 0
-        for j in _bits(mask):
-            k |= 1 << pos[j + 1]
-        return k
 
-    order = tuple(map(tuples.__getitem__, sorted(tuples, key=key)))
+def _extension(order: list, tuples: dict) -> LatticeExtension:
+    """The LatticeExtension of a mask order, read through a mask -> tuple map."""
+    order = tuple(map(tuples.__getitem__, order))
     return LatticeExtension(order, {d: p for p, d in enumerate(order, start=1)})
 
 
@@ -67,7 +63,8 @@ def build_revlex_extension(
 ) -> LatticeExtension:
     """All downsets of P sorted by revlex_less for sigma."""
     _require_extension(P, sigma)
-    return _sorted_for(_as_tuples(all_downsets(P, cap)), sigma)
+    order = sorted(all_downsets(P, cap), key=_position_key(sigma))
+    return _extension(order, _as_tuples(order))
 
 
 def _common_ground(L1: LatticeExtension, L2: LatticeExtension) -> None:
@@ -75,46 +72,54 @@ def _common_ground(L1: LatticeExtension, L2: LatticeExtension) -> None:
         raise MismatchedGroundSets("extensions order different downset families")
 
 
+def _inversions(seq: list) -> int:
+    """Pairs i < j with seq[i] > seq[j], for seq a permutation of 1..len(seq),
+    counted with a Fenwick tree over the values seen so far."""
+    n = len(seq)
+    tree = [0] * (n + 1)
+    inv = 0
+    for seen, x in enumerate(seq):
+        inv += seen
+        j = x
+        while j:  # less the earlier values at most x
+            inv -= tree[j]
+            j &= j - 1
+        while x <= n:
+            tree[x] += 1
+            x += x & -x
+    return inv
+
+
 def reversal_distance(L1: LatticeExtension, L2: LatticeExtension) -> int:
     """Number of unordered downset pairs appearing in opposite orders."""
     _common_ground(L1, L2)
     seq = [L2.index[d] for d in L1.order]
+    if sorted(seq) != list(range(1, len(seq) + 1)):
+        raise MismatchedGroundSets("index is not the 1-based positions of order")
+    return _inversions(seq)
 
-    def count(lo: int, hi: int) -> int:
-        if hi - lo < 2:
-            return 0
-        mid = (lo + hi) // 2
-        inv = count(lo, mid) + count(mid, hi)
-        merged = []
-        i, j = lo, mid
-        while i < mid and j < hi:
-            if seq[i] <= seq[j]:
-                merged.append(seq[i])
-                i += 1
-            else:
-                inv += mid - i
-                merged.append(seq[j])
-                j += 1
-        merged.extend(seq[i:mid])
-        merged.extend(seq[j:hi])
-        seq[lo:hi] = merged
-        return inv
 
-    return count(0, len(seq))
+def _revlex_pair(P: Poset, cap: int, r: Realizer2D) -> tuple:
+    """The downset masks in the orders L_sigma and L_sigma_bar of r, from
+    one listing.  The antichain count, which is the downset count, is
+    checked against cap before any enumeration."""
+    _require_extension(P, r.sigma_bar)  # count_antichains checks sigma
+    if count_antichains(P, r.sigma).total > cap:
+        raise CapExceeded(f"more than {cap} downsets")
+    masks = all_downsets(P, cap)
+    return (sorted(masks, key=_position_key(r.sigma)),
+            sorted(masks, key=_position_key(r.sigma_bar)))
 
 
 def diametral_pair(P: Poset, cap: int = DEFAULT_CAP,
                    r: Realizer2D | None = None) -> tuple:
     """The pair (L_sigma, L_sigma_bar) for the realizer r (by default
     realizer(P)); its reversal distance is the diameter of the linear
-    extension graph of the downset lattice.  The antichain count, which is
-    the downset count, is checked against cap before any enumeration."""
-    r = realizer(P) if r is None else r
-    _require_extension(P, r.sigma_bar)  # count_antichains checks sigma
-    if count_antichains(P, r.sigma).total > cap:
-        raise CapExceeded(f"more than {cap} downsets")
-    tuples = _as_tuples(all_downsets(P, cap))
-    return _sorted_for(tuples, r.sigma), _sorted_for(tuples, r.sigma_bar)
+    extension graph of the downset lattice.  More than cap downsets raise
+    CapExceeded before any is listed."""
+    o1, o2 = _revlex_pair(P, cap, realizer(P) if r is None else r)
+    tuples = _as_tuples(o1)
+    return _extension(o1, tuples), _extension(o2, tuples)
 
 
 def dominance_coordinates(L1: LatticeExtension, L2: LatticeExtension) -> dict:

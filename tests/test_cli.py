@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -280,6 +281,17 @@ def test_oracle_classes(tmp_path, capsys):
     ]
 
 
+def test_oracle_classes_refuses_too_many_pairs_at_once(tmp_path, capsys):
+    # 2048 antichains fit under the cap, their 4.2 M ordered pairs do not
+    path = _poset_file(tmp_path, pk.antichain_poset(11))
+    started = time.perf_counter()
+    code, out, err = _run(capsys, ["oracle", path, "classes", "--cap", "5000"])
+    assert code == 3
+    assert out == ""
+    assert "more than 5000 antichain pairs" in err
+    assert time.perf_counter() - started < 10.0
+
+
 def test_oracle_critical(tmp_path, capsys):
     path = _poset_file(tmp_path, pk.antichain_poset(2))
     code, out, err = _run(capsys, ["oracle", path, "critical"])
@@ -329,6 +341,44 @@ def test_output_is_byte_deterministic(tmp_path, capsys):
     assert code == 0
     assert first == second
     assert svg_path.read_bytes() == first_svg
+
+
+def test_stdout_is_the_sorted_indent_two_dump(tmp_path, capsys):
+    # every command, on file names that JSON must escape
+    odd = tmp_path / 'in "quoted" \\ dir \u00fc'
+    odd.mkdir()
+    posets = [
+        pk.poset_from_relations(0, []),
+        pk.chain(1),
+        pk.chain_union([2, 1]),
+        pk.antichain_poset(3),
+        pk.poset_from_relations(5, [(1, 3), (1, 5), (2, 3), (2, 5), (4, 5)]),
+    ]
+    runs = [["led-bool", "4"], ["led-chains", "2,1,3"]]
+    for k, P in enumerate(posets):
+        path = _poset_file(odd, P, f"p{k} \u00e9.poset")
+        svg = str(odd / f'p{k} "\u00e9" \\.svg')
+        runs += [
+            ["led-downset", path],
+            ["led-downset", path, "--breakdown"],
+            ["led-downset", path, "--upper-bound-only"],
+            ["diametral", path],
+            ["diametral", path, "--svg", svg],
+            ["count-antichains", path],
+            ["oracle", path, "diameter"],
+            ["oracle", path, "classes"],
+            ["oracle", path, "critical"],
+        ]
+    for argv in runs:
+        code, out, err = _run(capsys, argv)
+        assert code == 0, (argv, err)
+        assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        if argv[0] == "diametral":
+            L1, L2 = pk.diametral_pair(pk.load_poset(argv[1]))
+            result = _payload(out)["result"]
+            assert result["extension_1"] == [list(d) for d in L1.order]
+            assert result["extension_2"] == [list(d) for d in L2.order]
+            assert result.get("svg") == (argv[3] if "--svg" in argv else None)
 
 
 def test_verbose_timing_goes_to_stderr(capsys):

@@ -1,5 +1,6 @@
 """Tests for the set comparator and the two sorted downset orders."""
 
+import functools
 import importlib
 import itertools
 import random
@@ -203,6 +204,25 @@ def test_diametral_pair_sorts_one_downset_list_for_both_orders(monkeypatch):
         assert pk.diametral_pair(P) == pair
         assert pk.diametral_pair(P, r=pk.realizer(P)) == pair
     assert len(calls) == 2 * len(posets)
+
+
+def test_revlex_orders_equal_a_comparator_sort():
+    # the byte-table sort key against revlex_less itself, at sizes on and
+    # around the byte edges of the element masks
+    rng = random.Random(41)
+    posets = [random_two_dim(n, rng) for n in (0, 1, 7, 8, 9, 16, 17)]
+    posets.append(pk.antichain_poset(11))
+    for P in posets:
+        r = pk.realizer(P)
+        L1, L2 = pk.diametral_pair(P, r=r)
+        downsets = list(L1.order)
+        rng.shuffle(downsets)
+        for sigma, L in ((r.sigma, L1), (r.sigma_bar, L2)):
+            before = functools.cmp_to_key(
+                lambda S, T: -1 if pk.revlex_less(sigma, S, T) else 1)
+            want = tuple(sorted(downsets, key=before))
+            assert L.order == want
+            assert pk.build_revlex_extension(P, sigma).order == want
 
 
 def test_diametral_pair_shares_one_tuple_per_downset():
