@@ -3,8 +3,8 @@
 Everything here works in sigma-position space: a non-separating linear
 extension sigma of P is fixed, elements are addressed by their 1-based
 position in sigma, and subposets become bitmasks over positions.  The
-counting recurrences need sigma to be non-separating; that property is
-checked up front and SeparatingExtension raised otherwise.
+counting recurrences need sigma to be non-separating; the engine checks
+that once, by its conjugate ranks, and raises SeparatingExtension otherwise.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ContractViolation, IndexOutOfRange, SeparatingExtension
-from .poset import Poset, _antichains, _bits, component_masks, induced
-from .realizer import _require_extension, is_non_separating, realizer
+from .poset import Poset, _antichains, _bits, _relabel, component_masks, induced
+# is_non_separating stays bound here for bench/tracing.py's led.nonsep hook
+from .realizer import _conjugate_ranks, _require_extension, is_non_separating, realizer
 
 
 def _quarter(num: int) -> int:
@@ -59,27 +60,21 @@ class _Engine:
     sweeps along sigma, and the full delta table."""
 
     def __init__(self, P: Poset, sigma: Sequence[int]):
-        if not is_non_separating(P, sigma):
+        # sbar[p]: the rank of x_p in sigma_bar (see tables, fact 1)
+        self.sbar = _conjugate_ranks(P, sigma)
+        if sorted(self.sbar) != list(range(P.n)):
             raise SeparatingExtension(
                 f"{tuple(sigma)} separates a comparable pair"
             )
-        n = P.n
+        self.n = n = P.n
         self.sigma = tuple(sigma)
-        pos = {e - 1: p for p, e in enumerate(self.sigma)}
-        up = [0] * n
-        down = [0] * n
-        for p, e in enumerate(self.sigma):
-            for f in _bits(P.up_masks[e - 1]):
-                up[p] |= 1 << pos[f]
-                down[pos[f]] |= 1 << p
-        full = (1 << n) - 1
-        self.n = n
-        self.up = up
-        self.down = down
-        self.inc = [full & ~(up[p] | down[p] | 1 << p) for p in range(n)]
+        key = _relabel(n, self.sigma)
+        self.up = [key(P.up_masks[e - 1]) for e in self.sigma]
+        self.down = [key(P.down_masks[e - 1]) for e in self.sigma]
+        self.inc = [key(P.inc_masks[e - 1]) for e in self.sigma]
         # ends[p] = a(inc[p] before p): the antichains whose sigma-last
         # member is x_p; 1 + sum(ends) counts all antichains of P
-        self.ends = self.sweep(full)
+        self.ends = self.sweep((1 << n) - 1)
 
     def sweep(self, mask: int, backward: bool = False) -> list:
         """One pass of the antichain DP over the positions in mask.
@@ -124,10 +119,10 @@ class _Engine:
         follow from sigma being non-separating:
 
         1. The conjugate order sigma_bar (P, plus sigma reversed on
-           incomparable pairs) is a linear extension; position p has rank
-           |down[p]| + |inc[p] after p| in it.  For p before q in sigma,
-           x_p < x_q iff p comes first in sigma_bar, and x_p || x_q iff p
-           comes last.
+           incomparable pairs) is a linear extension, as __init__ checks:
+           x_p has rank sbar[p] = |down[p]| + |inc[p] after p| in it.  For p
+           before q in sigma, x_p < x_q iff p comes first in sigma_bar, and
+           x_p || x_q iff p comes last.
         2. W = (l', k) & inc[k] & inc[k'] & down[l] loses its down[l]: an
            x_j sigma-between x_k' < x_l with x_j || x_k' is below x_l.  So
            a(W) does not depend on l, and for fixed (k', k) one backward
@@ -159,10 +154,7 @@ class _Engine:
         all, and O(n^2) memory.
         """
         n = self.n
-        up, down, inc = self.up, self.down, self.inc
-        sbar = [down[p].bit_count() + (inc[p] >> (p + 1)).bit_count() for p in range(n)]
-        if sorted(sbar) != list(range(n)):
-            raise ContractViolation("conjugate ranks of sigma are not a permutation")
+        up, down, inc, sbar = self.up, self.down, self.inc, self.sbar
         ends = self.ends
         # left[l][i] = a(prefix(i) & inc[l]) for i < l
         left = []

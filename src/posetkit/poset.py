@@ -21,7 +21,8 @@ from .errors import (
 DEFAULT_CAP = 1 << 20
 
 # Largest ground set accepted: the up, down and incomparable rows, n bits
-# each, come to about 6 MB at 4096, so a short header cannot exhaust memory.
+# each, come to about 6 MB at 4096, and a _relabel table to 41-61 MB (an
+# identity or a shuffled order), so a short header cannot exhaust memory.
 MAX_ELEMENTS = 4096
 
 
@@ -70,6 +71,19 @@ def _bit_sums(values: list, zero):
         return s
 
     return total
+
+
+def _relabel(n: int, order: Sequence[int]):
+    """The map from an element mask to the mask of its members' positions
+    in order, a permutation of 1..n: bit p stands for order[p].
+
+    Integer less-than of the images is revlex_less for order: the highest
+    bit of their XOR is the order-largest element of the symmetric
+    difference."""
+    bit = [0] * n
+    for p, e in enumerate(order):
+        bit[e - 1] = 1 << p
+    return _bit_sums(bit, 0)
 
 
 class Poset:
@@ -347,7 +361,7 @@ def _downset_covers(P: Poset, label: dict) -> list:
 def downset_covers(P: Poset, downsets: Iterable[tuple]) -> list:
     """Covering pairs (D, D + x) of the downset lattice.  downsets must be
     every downset of P, as tuples; the pairs hold those tuples."""
-    return _downset_covers(P, {sum(1 << (e - 1) for e in D): D for D in downsets})
+    return _downset_covers(P, {_mask_of(P.n, D): D for D in downsets})
 
 
 def chain(n: int) -> Poset:

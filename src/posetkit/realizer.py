@@ -128,19 +128,22 @@ def realizer(P: Poset) -> Realizer2D:
     return Realizer2D(sigma, sigma_bar)
 
 
+def _conjugate_ranks(P: Poset, order: Sequence[int]) -> list:
+    """For each position p, the rank |down| + |inc after p| of order[p] in
+    the conjugate of order: P, plus order reversed on incomparable pairs."""
+    _require_extension(P, order)
+    ranks, seen = [], 0
+    for e in order:
+        ranks.append(P.down_masks[e - 1].bit_count()
+                     + (P.inc_masks[e - 1] & ~seen).bit_count())
+        seen |= 1 << (e - 1)
+    return ranks
+
+
 def is_non_separating(P: Poset, pi: Sequence[int]) -> bool:
     """No comparable pair u < v may straddle an element incomparable to both:
-    u before x before v in pi with x || u and x || v is forbidden."""
-    _require_extension(P, pi)
-    seen = 0
-    for x in pi:
-        ix = x - 1
-        inc = P.inc_masks[ix]
-        before = seen & inc
-        if before:
-            after = inc & ~seen & ~(1 << ix)
-            for v in _bits(after):
-                if P.down_masks[v] & before:
-                    return False
-        seen |= 1 << ix
-    return True
+    u before x before v in pi with x || u and x || v is forbidden.
+
+    Such a triple is a 3-cycle v, x, u of the conjugate tournament and every
+    3-cycle comes from one, so pi passes iff the conjugate ranks are 0..n-1."""
+    return sorted(_conjugate_ranks(P, pi)) == list(range(P.n))

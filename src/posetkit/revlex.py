@@ -11,7 +11,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, EqualSets, IndexOutOfRange, MismatchedGroundSets
 from .led import count_antichains
-from .poset import DEFAULT_CAP, Poset, _bit_sums, _bits, all_downsets
+from .poset import DEFAULT_CAP, Poset, _bits, _relabel, all_downsets
 from .realizer import Realizer2D, _require_extension, realizer
 
 
@@ -38,20 +38,6 @@ def _as_tuples(masks: list) -> dict:  # mask -> sorted tuple, once per downset
     return {m: tuple(j + 1 for j in _bits(m)) for m in masks}
 
 
-def _position_key(sigma: Sequence[int]):
-    """The sort key that realizes revlex_less for sigma on element masks.
-
-    It maps an element mask to the mask of its members' sigma positions;
-    the highest bit of the XOR of two such masks is the sigma-largest
-    element of the symmetric difference, so integer less-than is exactly
-    revlex_less.
-    """
-    bit = [0] * len(sigma)
-    for p, e in enumerate(sigma):
-        bit[e - 1] = 1 << p
-    return _bit_sums(bit, 0)
-
-
 def _extension(order: list, tuples: dict) -> LatticeExtension:
     """The LatticeExtension of a mask order, read through a mask -> tuple map."""
     order = tuple(map(tuples.__getitem__, order))
@@ -63,7 +49,7 @@ def build_revlex_extension(
 ) -> LatticeExtension:
     """All downsets of P sorted by revlex_less for sigma."""
     _require_extension(P, sigma)
-    order = sorted(all_downsets(P, cap), key=_position_key(sigma))
+    order = sorted(all_downsets(P, cap), key=_relabel(P.n, sigma))
     return _extension(order, _as_tuples(order))
 
 
@@ -107,8 +93,8 @@ def _revlex_pair(P: Poset, cap: int, r: Realizer2D) -> tuple:
     if count_antichains(P, r.sigma).total > cap:
         raise CapExceeded(f"more than {cap} downsets")
     masks = all_downsets(P, cap)
-    return (sorted(masks, key=_position_key(r.sigma)),
-            sorted(masks, key=_position_key(r.sigma_bar)))
+    return (sorted(masks, key=_relabel(P.n, r.sigma)),
+            sorted(masks, key=_relabel(P.n, r.sigma_bar)))
 
 
 def diametral_pair(P: Poset, cap: int = DEFAULT_CAP,

@@ -17,8 +17,7 @@ def dominance_svg(coords: dict, covers: list, scale: int = 24) -> str:
     side = (len(coords) + 1) * scale
     r = max(2, scale // 6)
     lines = []
-    for a, b in sorted(covers, key=lambda c: (coords[c[0]], coords[c[1]])):
-        (x1, y1), (x2, y2) = coords[a], coords[b]
+    for (x1, y1), (x2, y2) in sorted((coords[a], coords[b]) for a, b in covers):
         lines.append(
             f'<line x1="{x1 * scale}" y1="{y1 * scale}" '
             f'x2="{x2 * scale}" y2="{y2 * scale}"/>'

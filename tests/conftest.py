@@ -63,6 +63,25 @@ def random_two_dim(n, rng):
     return pk.poset_from_relations(n, rel)
 
 
+def random_not_two_dim(n, rng):
+    """A random order on n points, drawn until it is not two-dimensional."""
+    while True:
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                 if rng.random() < 0.4]
+        P = pk.poset_from_relations(n, pairs)
+        if not pk.is_two_dimensional(P):
+            return P
+
+
+def separates(P, order):
+    """The literal definition: some u < v has an x between them in order
+    that is incomparable to both."""
+    return any(
+        P.less(u, v) and P.incomparable(x, u) and P.incomparable(x, v)
+        for u, x, v in itertools.combinations(order, 3)
+    )
+
+
 def dual(P):
     """P^op: the same ground set with every relation reversed."""
     return pk.poset_from_relations(P.n, [(y, x) for x, y in P.relation_pairs()])

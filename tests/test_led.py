@@ -7,7 +7,14 @@ import pytest
 
 import posetkit as pk
 
-from conftest import all_posets_upto_iso, brute_antichains, dual, random_two_dim
+from conftest import (
+    all_posets_upto_iso,
+    brute_antichains,
+    dual,
+    random_not_two_dim,
+    random_two_dim,
+    separates,
+)
 from reference_tables import reference_delta, reference_tables
 
 
@@ -299,13 +306,20 @@ def test_tables_match_reference_on_chain_unions_and_antichains():
         assert_tables_match_reference(pk.antichain_poset(n), tuple(range(1, n + 1)))
 
 
-def test_conjugate_rank_check_raises(monkeypatch):
-    # a separating sigma has no conjugate order; the engine's guard is
-    # bypassed here to reach the check behind it
-    P = pk.poset_from_relations(3, [(1, 3)])
-    monkeypatch.setattr(pk.led, "is_non_separating", lambda P, sigma: True)
-    with pytest.raises(pk.ContractViolation):
-        pk.led._Engine(P, (1, 2, 3)).tables()
+def test_conjugate_rank_check_raises():
+    # the engine's guard is its own conjugate-rank check: it refuses exactly
+    # the extensions with a separating triple, on every poset up to 5 points
+    refused = 0
+    for n in range(6):
+        for P in all_posets_upto_iso(n):
+            for sigma in pk.all_linear_extensions(P):
+                if separates(P, sigma):
+                    refused += 1
+                    with pytest.raises(pk.SeparatingExtension):
+                        pk.led._Engine(P, sigma)
+                else:
+                    assert sorted(pk.led._Engine(P, sigma).sbar) == list(range(n))
+    assert refused
 
 
 def test_quarter_rejects_counts_not_divisible_by_four():
@@ -398,22 +412,11 @@ def test_led_upper_bound_tight_on_two_dimensional():
         assert pk.led_upper_bound(P) == pk.led_downset(P).led
 
 
-def _random_not_two_dim(n, rng):
-    while True:
-        pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
-                 if rng.random() < 0.4]
-        P = pk.poset_from_relations(n, pairs)
-        try:
-            pk.realizer(P)
-        except pk.NotTwoDimensional:
-            return P
-
-
 def test_led_upper_bound_is_the_oracle_class_sum():
     # one 2^(d-2) per class of the independent oracle with d >= 2 components
     rng = random.Random(29)
     posets = [P for n in range(5) for P in all_posets_upto_iso(n)] + [pk.chevron()]
-    posets += [_random_not_two_dim(7, rng) for _ in range(6)]
+    posets += [random_not_two_dim(7, rng) for _ in range(6)]
     for P in posets:
         sizes = [len(c.components) for c in pk.enumerate_classes(P)]
         assert pk.led_upper_bound(P) == sum(1 << (d - 2) for d in sizes if d >= 2)

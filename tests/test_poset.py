@@ -255,6 +255,13 @@ def test_downset_covers_match_the_lattice_covers():
         assert sorted(pk.poset.downset_covers(P, dl.downsets)) == want
 
 
+def test_downset_covers_rejects_elements_outside_the_poset():
+    downsets = [(), (1,), (2,), (1, 2)]
+    for bad in ((0,), (3,), (1, 3)):
+        with pytest.raises(pk.IndexOutOfRange):
+            pk.poset.downset_covers(pk.antichain_poset(2), downsets + [bad])
+
+
 def test_chain_union_numbering():
     P = pk.chain_union([2, 3])
     assert P.relation_pairs() == [(1, 2), (3, 4), (3, 5), (4, 5)]

@@ -7,7 +7,13 @@ import pytest
 
 import posetkit as pk
 
-from conftest import all_posets_upto_iso, random_two_dim
+from conftest import (
+    all_posets_upto_iso,
+    random_extension,
+    random_not_two_dim,
+    random_two_dim,
+    separates,
+)
 from reference_orientation import reference_orientation, reference_realizer
 
 
@@ -196,3 +202,30 @@ def test_non_separating():
         pk.is_non_separating(P, (3, 2, 1))
     with pytest.raises(pk.NotALinearExtension):
         pk.is_non_separating(P, (1, 2))
+
+
+def test_is_non_separating_matches_the_triple_definition():
+    # every extension of every poset up to 5 points, then seeded random
+    # orders up to 40 points: realizer orders, adjacent swaps of them and
+    # random extensions (all separating off two dimensions)
+    cases = [(P, s) for n in range(6) for P in all_posets_upto_iso(n)
+             for s in pk.all_linear_extensions(P)]
+    rng = random.Random(43)
+    for _ in range(12):
+        P = random_two_dim(rng.randint(6, 40), rng)
+        r = pk.realizer(P)
+        cases += [(P, r.sigma), (P, r.sigma_bar)]
+        for sigma in (r.sigma, r.sigma_bar):
+            swaps = [p for p in range(P.n - 1) if P.incomparable(sigma[p], sigma[p + 1])]
+            for p in rng.sample(swaps, min(3, len(swaps))):
+                cases.append((P, sigma[:p] + (sigma[p + 1], sigma[p]) + sigma[p + 2:]))
+        cases += [(P, random_extension(P, rng)) for _ in range(2)]
+    for _ in range(6):
+        P = random_not_two_dim(rng.randint(6, 40), rng)
+        cases += [(P, random_extension(P, rng)) for _ in range(3)]
+    verdicts = set()
+    for P, sigma in cases:
+        verdict = pk.is_non_separating(P, sigma)
+        assert verdict == (not separates(P, sigma)), (P, sigma)
+        verdicts.add((P.n > 5, verdict))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}

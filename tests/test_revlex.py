@@ -4,6 +4,7 @@ import functools
 import importlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -317,3 +318,23 @@ def test_dominance_coordinates_orders_and_count():
             elif same_dir:
                 dominated += 1
         assert dominated == len(inc) - led
+
+
+def test_dominance_svg_does_not_depend_on_the_cover_order():
+    # the segments are drawn in order of their coordinate pairs, whatever
+    # order the covers come in
+    rng = random.Random(47)
+    posets = [pk.antichain_poset(5), pk.chain_union([2, 3])]
+    posets += [random_two_dim(n, rng) for n in (6, 9, 12)]
+    for P in posets:
+        L1, L2 = pk.diametral_pair(P)
+        coords = pk.dominance_coordinates(L1, L2)
+        covers = pk.poset.downset_covers(P, L1.order)
+        want = pk.dominance_svg(coords, covers, 10)
+        segments = [tuple(map(int, m)) for m in re.findall(
+            r'<line x1="(\d+)" y1="(\d+)" x2="(\d+)" y2="(\d+)"/>', want)]
+        assert len(segments) == len(covers)
+        assert segments == sorted(segments)
+        for _ in range(3):
+            rng.shuffle(covers)
+            assert pk.dominance_svg(coords, covers, 10) == want
