@@ -86,8 +86,11 @@ class _Engine:
         (suffix)."""
         inc = self.inc
         vals = [0] * self.n
-        for p in sorted(_bits(mask), reverse=backward):
-            m = inc[p] & mask & (-(2 << p) if backward else (1 << p) - 1)
+        rest = mask                # the positions not yet swept
+        while rest:
+            p = (rest if backward else rest & -rest).bit_length() - 1
+            rest ^= 1 << p
+            m = inc[p] & (mask ^ rest)
             s = 1
             while m:
                 low = m & -m
@@ -130,16 +133,21 @@ class _Engine:
            as a suffix sum.  The sweep's counts depend on k alone (a later
            member of an antichain starting in S stays in S), so one sweep
            over inc[k] before k serves every k'.
-        3. Likewise P_{i,k,l} = (i, k) & inc[i] & inc[k]: its count is the
-           full sum of fact 2's sweep with k' = i.  The side count
-           a(prefix(i) & inc[l]) is a prefix sum of the forward sweep over
-           all of P, `ends` (an antichain ending in inc[l] before x_l lies
-           there), one pass per l; the final sum's a(inc[k] after l) is a
-           suffix sum of the backward sweep `starts`, one pass per k.  The
-           two full sweeps also give gamma: ends[p] = a(inc[p] before p)
-           and starts[p] = a(inc[p] after p), no member of the one set is
-           comparable to a member of the other, so ends[p] * starts[p]
-           antichains contain x_p.
+        3. Likewise P_{i,k,l} = (i, k) & inc[i] & inc[k]: it is the part of
+           S after x_i that is incomparable to x_i, so its count is
+           starts[i], the value of fact 2's sweep at i (starts[k] = 1 for
+           the empty P_{k,k,l}).  Case B's walk for k' adds up that sweep
+           over S & inc[k'] from x_k down and would end at starts[k'], so
+           it stops at the lowest x_l' above x_k' and skips any k' with no
+           x_l' before x_k.  The side count a(prefix(i) & inc[l]) is a
+           prefix sum of the forward sweep over all of P, `ends` (an
+           antichain ending in inc[l] before x_l lies there), one pass per
+           l; the final sum's a(inc[k] after l) is a suffix sum of the
+           backward sweep over all of P, one pass per k.  The two full
+           sweeps also give gamma: ends[p] = a(inc[p] before p) and the
+           backward value a(inc[p] after p), no member of the one set is
+           comparable to a member of the other, so their product counts
+           the antichains through x_p.
         4. Case B's filters x_l' || x_l and x_k' < x_l read, by fact 1,
            sbar(k') < sbar(l) < sbar(l'); so for fixed k each (k', l')
            term adds to one interval of sigma_bar ranks, and one
@@ -148,10 +156,10 @@ class _Engine:
            every dd they read is final.  Only k' below some x_l above x_k
            can contribute and are visited.
 
-        The sweep of fact 2 costs O(n^2) per k, its suffix sums O(k - k')
-        per pair, delta1 O(|inc[k]|) and case A O(|up[k]|) per (k, l): the
-        tables take O(n^3) big-integer additions and multiplications in
-        all, and O(n^2) memory.
+        The sweep of fact 2 costs O(n^2) per k, case B's walk at most
+        O(k - k') per pair, delta1 O(|inc[k]|) and case A O(|up[k]|) per
+        (k, l): the tables take O(n^3) big-integer additions and
+        multiplications in all, and O(n^2) memory.
         """
         n = self.n
         up, down, inc, sbar = self.up, self.down, self.inc, self.sbar
@@ -176,17 +184,28 @@ class _Engine:
             below_k = (1 << k) - 1
             side = inc[k] & below_k
             reach = 0
-            for l in _bits(ups):
-                reach |= down[l]
+            m = ups
+            while m:
+                low = m & -m
+                reach |= down[low.bit_length() - 1]
+                m ^= low
             starts = self.sweep(side, backward=True)
-            mid = {k: 1}
+            starts[k] = 1
             diff = [0] * (n + 1)
-            for kp in _bits(side & reach):
-                inner = side & inc[kp] & -(2 << kp)
+            kps = side & reach
+            while kps:
+                kbit = kps & -kps
+                kps ^= kbit
+                kp = kbit.bit_length() - 1
+                U = up[kp] & below_k
+                if not U:
+                    continue
+                # below U's lowest bit the walk only adds to acc (fact 3)
+                inner = side & inc[kp] & -(U & -U)
                 row = dd[kp]
                 acc = 1
                 total = 0
-                m = inner | (up[kp] & below_k)
+                m = inner | U
                 while m:
                     p = m.bit_length() - 1
                     bit = 1 << p
@@ -198,18 +217,28 @@ class _Engine:
                         total += t
                         diff[sbar[p]] -= t
                 diff[sbar[kp] + 1] += total
-                mid[kp] = acc
             case_b = list(accumulate(diff))
             r1, r2, rd = d1[k], d2[k], dd[k]
             firsts = side | 1 << k
-            for l in _bits(ups):
+            ls = ups
+            while ls:
+                lbit = ls & -ls
+                ls ^= lbit
+                l = lbit.bit_length() - 1
                 lrow = left[l]
                 s1 = 0
-                for i in _bits(firsts & down[l]):
-                    s1 += mid[i] * lrow[i]
+                m = firsts & down[l]
+                while m:
+                    low = m & -m
+                    i = low.bit_length() - 1
+                    s1 += starts[i] * lrow[i]
+                    m ^= low
                 s2 = case_b[sbar[l]]
-                for lp in _bits(ups & inc[l] & ((1 << l) - 1)):
-                    s2 += rd[lp]
+                m = ups & inc[l] & (lbit - 1)
+                while m:
+                    low = m & -m
+                    s2 += rd[low.bit_length() - 1]
+                    m ^= low
                 r1[l] = s1
                 r2[l] = s2
                 rd[l] = s1 + s2
@@ -339,13 +368,15 @@ def led_downset(P: Poset, sigma: Sequence[int] | None = None) -> LedBreakdown:
     starts = eng.sweep((1 << n) - 1, backward=True)
     gam = _gamma(eng.ends, starts)
     d1_rows, d2_rows, dd = eng.tables()
-    # dd(k, l) * a(inc[k] after l), the suffix sums of starts
+    # dd(k, l) * a(inc[k] after l), the suffix sums of starts down to the
+    # lowest x_l above x_k
     delta = 0
     for k in range(n):
+        ups = eng.up[k]
         row = dd[k]
-        side = eng.inc[k] & -(2 << k)
+        side = eng.inc[k] & -(ups & -ups)
         acc = 1
-        m = eng.up[k] | side
+        m = ups | side
         while m:
             p = m.bit_length() - 1
             bit = 1 << p
@@ -356,9 +387,12 @@ def led_downset(P: Poset, sigma: Sequence[int] | None = None) -> LedBreakdown:
                 delta += row[p] * acc
     delta *= 2
     num = alpha - beta - gam - delta
-    pairs = [(k, l) for l in range(n) for k in _bits(eng.down[l])]
-    d1 = {(k + 1, l + 1): d1_rows[k][l] for k, l in pairs}
-    d2 = {(k + 1, l + 1): d2_rows[k][l] for k, l in pairs}
+    d1, d2 = {}, {}
+    for l in range(n):
+        for k in _bits(eng.down[l]):
+            key = (k + 1, l + 1)
+            d1[key] = d1_rows[k][l]
+            d2[key] = d2_rows[k][l]
     return LedBreakdown(alpha, beta, gam, delta, d1, d2, _quarter(num))
 
 

@@ -25,42 +25,79 @@ def _require_extension(P: Poset, order: Sequence[int]) -> None:
         raise NotALinearExtension(f"{tuple(order)} does not extend the poset")
 
 
-def transitive_orientation(P: Poset) -> list:
-    """Orient every incomparable pair so the orientation is transitive.
+def _arc_masks(P: Poset) -> list:
+    """Arc masks of a transitive orientation of the incomparability graph:
+    b in arcs[a] when the edge {a, b} is oriented a -> b (0-based).
 
     Implication-class forcing (Golumbic, ch. 5): orienting one edge forces
     all edges reachable through vertices that lack the closing chord; the
     class is removed and the next seed is the lexicographically least
-    surviving edge, oriented low to high.  A class is kept as arc masks;
-    one forcing some edge both ways (out[a] & into[a] not empty) proves
-    there is no transitive orientation.  Returns sorted ordered pairs.
+    surviving edge, oriented low to high.  Forcing is batched per vertex:
+    new out-arcs a -> S force a -> c for every c in adj[a] outside the AND
+    of adj[b] over S, and new in-arcs S -> b likewise force c -> b, so one
+    loop body serves both sides.  Forcing reaches the same fixpoint in any
+    order.  A class is kept as arc masks; one forcing some edge both ways
+    (out[a] & into[a] not empty) proves there is no transitive orientation.
+    Nothing else is checked here: `transitive_orientation` certifies its
+    pairs and `realizer` its orders.
     """
     n = P.n
     adj = list(P.inc_masks)       # edges not yet in any class
-    arcs = [0] * n                # b in arcs[a]: the edge {a,b} is a -> b
+    arcs = [0] * n
     out, into = [0] * n, [0] * n  # the class being forced
+    # its arcs not yet propagated, by tail and by head; all 0 between classes
+    new_out, new_in = [0] * n, [0] * n
+    # side 0 propagates out-arcs, side 1 in-arcs, each feeding the other
+    sides = ((out, into, new_out, new_in), (into, out, new_in, new_out))
     for i in range(n):
         while rest := adj[i] & -(2 << i):
-            j = (rest & -rest).bit_length() - 1
-            out[i], into[j] = 1 << j, 1 << i
-            touched = 1 << i | 1 << j
-            queue = [(i, j)]
-            while queue:
-                a, b = queue.pop()
-                # edge {a,c}, no chord {b,c}: a->b forces a->c (c = b is in out[a])
-                new_out = adj[a] & ~adj[b] & ~out[a]
-                out[a] |= new_out
-                for c in _bits(new_out):
-                    into[c] |= 1 << a
-                    queue.append((a, c))
-                # edge {c,b}, no chord {a,c}: a->b forces c->b (c = a is in into[b])
-                new_in = adj[b] & ~adj[a] & ~into[b]
-                into[b] |= new_in
-                for c in _bits(new_in):
-                    out[c] |= 1 << b
-                    queue.append((c, b))
-                touched |= new_out | new_in
-            for a in _bits(touched):
+            low = rest & -rest
+            j = low.bit_length() - 1
+            bit_i = 1 << i
+            out[i] = new_out[i] = low
+            into[j] = new_in[j] = bit_i
+            touched = low | bit_i
+            pending = [bit_i, low]    # vertices with new out-, in-arcs
+            d = 0
+            while pending[d] or pending[d ^ 1]:
+                if not pending[d]:
+                    d ^= 1
+                verts = pending[d]
+                pending[d] = 0
+                mine, theirs, new_mine, new_theirs = sides[d]
+                reached = 0           # the other ends of the forced arcs
+                while verts:
+                    bit_a = verts & -verts
+                    verts ^= bit_a
+                    a = bit_a.bit_length() - 1
+                    adj_a = adj[a]
+                    fresh = new_mine[a]
+                    new_mine[a] = 0
+                    # S = fresh; the arcs it forces are the next S
+                    while fresh:
+                        open_ = adj_a & ~mine[a]
+                        keep = open_      # stays unforced: adjacent to all of S
+                        while fresh and keep:
+                            low = fresh & -fresh
+                            keep &= adj[low.bit_length() - 1]
+                            fresh ^= low
+                        fresh = open_ & ~keep
+                        mine[a] |= fresh
+                        reached |= fresh
+                        m = fresh
+                        while m:
+                            low = m & -m
+                            c = low.bit_length() - 1
+                            theirs[c] |= bit_a
+                            new_theirs[c] |= bit_a
+                            m ^= low
+                touched |= reached
+                d ^= 1
+                pending[d] |= reached
+            while touched:
+                bit_a = touched & -touched
+                touched ^= bit_a
+                a = bit_a.bit_length() - 1
                 if out[a] & into[a]:
                     b = (out[a] & into[a]).bit_length()
                     raise NotTwoDimensional(
@@ -68,14 +105,22 @@ def transitive_orientation(P: Poset) -> list:
                 arcs[a] |= out[a]
                 adj[a] &= ~(out[a] | into[a])
                 out[a] = into[a] = 0
+    return arcs
 
-    # the union of forced classes is transitive whenever every class is
-    # proper; keep a cheap certificate of that fact
-    for a in range(n):
+
+def transitive_orientation(P: Poset) -> list:
+    """Orient every incomparable pair so the orientation is transitive:
+    the sorted 1-based pairs (a, b), a -> b, of `_arc_masks`.
+
+    The union of forced classes is transitive whenever every class is
+    proper; keep a per-arc certificate of that fact.
+    """
+    arcs = _arc_masks(P)
+    for a in range(P.n):
         for b in _bits(arcs[a]):
             if arcs[b] & ~arcs[a]:
                 raise ContractViolation("orientation not transitive")
-    return [(a + 1, b + 1) for a in range(n) for b in _bits(arcs[a])]
+    return [(a + 1, b + 1) for a in range(P.n) for b in _bits(arcs[a])]
 
 
 def is_two_dimensional(P: Poset) -> bool:
@@ -114,11 +159,15 @@ def realizer(P: Poset) -> Realizer2D:
     puts b first.  Every incomparable pair is oriented exactly once, so e
     has |up + arcs out| elements after it in sigma and |down + arcs out|
     before it in sigma_bar; these ranks place both orders.
+
+    The arc masks come from `_arc_masks` unchecked.  P plus the arcs and P
+    plus their reverse are tournaments, and a tournament is a linear order
+    iff its ranks are 0..n-1, which `_placed` checks for both; that holds
+    exactly when the orientation is transitive.  The last check is that
+    the two orders intersect to P.
     """
     n = P.n
-    out = [0] * n
-    for a, b in transitive_orientation(P):
-        out[a - 1] |= 1 << (b - 1)
+    out = _arc_masks(P)
     sigma, a1 = _placed([n - 1 - (u | m).bit_count() for u, m in zip(P.up_masks, out)])
     sigma_bar, a2 = _placed([(d | m).bit_count() for d, m in zip(P.down_masks, out)])
     # x is ahead of e in both orders exactly when x < e: both orders

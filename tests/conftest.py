@@ -73,6 +73,18 @@ def random_not_two_dim(n, rng):
             return P
 
 
+def shuffled_chain_union(lengths, rng):
+    """Disjoint chains of the given lengths on randomly assigned ids."""
+    ids = list(range(1, sum(lengths) + 1))
+    rng.shuffle(ids)
+    covers, base = [], 0
+    for length in lengths:
+        chain = ids[base:base + length]
+        covers.extend(zip(chain, chain[1:]))
+        base += length
+    return pk.poset_from_relations(len(ids), covers)
+
+
 def separates(P, order):
     """The literal definition: some u < v has an x between them in order
     that is incomparable to both."""

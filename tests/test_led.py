@@ -14,6 +14,7 @@ from conftest import (
     random_not_two_dim,
     random_two_dim,
     separates,
+    shuffled_chain_union,
 )
 from reference_tables import reference_delta, reference_tables
 
@@ -304,6 +305,18 @@ def test_tables_match_reference_on_chain_unions_and_antichains():
         assert_tables_match_reference(P, r.sigma_bar)
     for n in (1, 4, 7):
         assert_tables_match_reference(pk.antichain_poset(n), tuple(range(1, n + 1)))
+
+
+def test_tables_match_reference_at_benchmark_size():
+    # the sizes led-downset is timed at: random 2D orders with n = 84 and
+    # n = 100 through both realizer orders, and two chains of 55
+    rng = random.Random(29)
+    posets = [random_two_dim(n, rng) for n in (84, 84, 100, 100)]
+    posets.append(shuffled_chain_union([55, 55], rng))
+    for P in posets:
+        r = pk.realizer(P)
+        assert_tables_match_reference(P, r.sigma)
+        assert_tables_match_reference(P, r.sigma_bar)
 
 
 def test_conjugate_rank_check_raises():

@@ -1,7 +1,6 @@
 import importlib
 import itertools
 import random
-import re
 
 import pytest
 
@@ -13,6 +12,7 @@ from conftest import (
     random_not_two_dim,
     random_two_dim,
     separates,
+    shuffled_chain_union,
 )
 from reference_orientation import reference_orientation, reference_realizer
 
@@ -53,8 +53,9 @@ def test_orientation_is_transitive_and_complete():
 
 
 def test_chevron_not_two_dimensional():
-    with pytest.raises(pk.NotTwoDimensional):
+    with pytest.raises(pk.NotTwoDimensional) as exc:
         pk.transitive_orientation(pk.chevron())
+    assert str(exc.value) == "edge 1,4 is forced in both directions"
     assert not pk.is_two_dimensional(pk.chevron())
 
 
@@ -127,12 +128,20 @@ def test_realizer_deterministic():
         assert pk.realizer(P) == pk.realizer(P)
 
 
+def arc_masks(n, arcs):
+    """The 0-based arc masks of 1-based arcs, as realizer reads them."""
+    out = [0] * n
+    for a, b in arcs:
+        out[a - 1] |= 1 << (b - 1)
+    return out
+
+
 def test_realizer_rejects_a_non_transitive_orientation(monkeypatch):
     # a cyclic orientation of the antichain's three edges gives no total
     # order; the check must raise, also under python -O
     module = importlib.import_module("posetkit.realizer")
-    monkeypatch.setattr(module, "transitive_orientation",
-                        lambda P: [(1, 2), (2, 3), (3, 1)])
+    monkeypatch.setattr(module, "_arc_masks",
+                        lambda P: arc_masks(3, [(1, 2), (2, 3), (3, 1)]))
     with pytest.raises(pk.ContractViolation):
         pk.realizer(pk.antichain_poset(3))
 
@@ -141,10 +150,35 @@ def test_realizer_rejects_orders_that_do_not_intersect_to_the_poset(monkeypatch)
     # these arcs give each order distinct ranks, but sigma = (2, 1, 3) puts
     # 2 ahead of 1 although 1 < 2
     module = importlib.import_module("posetkit.realizer")
-    monkeypatch.setattr(module, "transitive_orientation",
-                        lambda P: [(1, 2), (2, 1), (2, 3)])
+    monkeypatch.setattr(module, "_arc_masks",
+                        lambda P: arc_masks(3, [(1, 2), (2, 1), (2, 3)]))
     with pytest.raises(pk.ContractViolation, match="mismatch"):
         pk.realizer(pk.poset_from_relations(3, [(1, 2)]))
+
+
+def test_realizer_raises_exactly_on_non_transitive_orientations(monkeypatch):
+    # realizer certifies the masks it is given by its own checks alone:
+    # every orientation of the incomparability graph, up to 5 points
+    module = importlib.import_module("posetkit.realizer")
+    outcomes = set()
+    for n in range(6):
+        for P in all_posets_upto_iso(n):
+            inc = pk.incomparable_pairs(P)
+            for choice in range(1 << len(inc)):
+                arcs = {(a, b) if choice >> t & 1 else (b, a)
+                        for t, (a, b) in enumerate(inc)}
+                transitive = all((a, c) in arcs for a, b in arcs
+                                 for b2, c in arcs if b2 == b)
+                monkeypatch.setattr(module, "_arc_masks",
+                                    lambda P, masks=arc_masks(n, arcs): masks)
+                try:
+                    pk.realizer(P)
+                    raised = False
+                except pk.ContractViolation:
+                    raised = True
+                assert raised == (not transitive), (P.relation_pairs(), arcs)
+                outcomes.add(raised)
+    assert outcomes == {False, True}
 
 
 def _assert_matches_reference(P):
@@ -166,6 +200,17 @@ def test_realizer_matches_reference_on_chain_unions():
         _assert_matches_reference(pk.chain_union(lengths))
 
 
+def test_orientation_matches_reference_where_batching_differs_most():
+    # every edge of an antichain is its own class; in a chain union one
+    # class spans each pair of chains
+    rng = random.Random(57)
+    posets = [pk.antichain_poset(40)]
+    posets += [shuffled_chain_union(lengths, rng)
+               for lengths in ([55, 55], [55, 55], [32, 32, 32], [32, 32, 32])]
+    for P in posets:
+        _assert_matches_reference(P)
+
+
 def test_realizer_matches_reference_on_small_posets():
     for n in range(1, 6):
         for P in all_posets_upto_iso(n):
@@ -182,11 +227,15 @@ def test_not_two_dimensional_names_an_incomparable_edge():
         P = pk.poset_from_relations(n, pairs)
         if reference_orientation(P) is None:
             sample.append(P)
-    for P in sample:
+    # the edge named for each sample, pinned: it must not depend on the
+    # order in which a class is forced
+    named = [4, 8, 6, 8, 2, 7, 7, 7, 9, 7, 3, 8, 4, 2, 7,
+             5, 9, 4, 4, 8, 8, 5, 4, 9, 7, 8, 9, 9, 9, 4]
+    for P, b in zip(sample, named, strict=True):
         with pytest.raises(pk.NotTwoDimensional) as exc:
             pk.transitive_orientation(P)
-        a, b = map(int, re.search(r"edge (\d+),(\d+) ", str(exc.value)).groups())
-        assert P.incomparable(a, b)
+        assert str(exc.value) == f"edge 1,{b} is forced in both directions"
+        assert P.incomparable(1, b)
         with pytest.raises(pk.NotTwoDimensional):
             pk.realizer(P)
 
