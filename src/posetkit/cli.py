@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from .errors import CapExceeded, NotTwoDimensional, PosetkitError
-from .led import led_boolean, led_chain_union, led_downset, led_upper_bound
+from .led import _led_sums, led_boolean, led_chain_union, led_upper_bound
 from .led import count_antichains as count_table
 from .oracle import (
     critical_pairs,
@@ -118,14 +118,9 @@ def _run_led_downset(args) -> tuple:
     text, P = _load(args.file)
     if args.upper_bound_only:
         return text, {"upper_bound": str(led_upper_bound(P))}
-    b = led_downset(P)
-    result = {"led": str(b.led)}
-    if args.breakdown:
-        result.update(
-            alpha=str(b.alpha), beta=str(b.beta),
-            gamma=str(b.gamma), delta=str(b.delta),
-        )
-    return text, result
+    sums = _led_sums(P, realizer(P).sigma)[0]
+    result = dict(zip(("alpha", "beta", "gamma", "delta", "led"), map(str, sums)))
+    return text, result if args.breakdown else {"led": result["led"]}
 
 
 def _run_diametral(args) -> tuple:

@@ -9,13 +9,14 @@ that once, by its conjugate ranks, and raises SeparatingExtension otherwise.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from itertools import accumulate, combinations
 from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ContractViolation, IndexOutOfRange, SeparatingExtension
-from .poset import Poset, _antichains, _bits, _relabel, component_masks, induced
+from .poset import Poset, _antichains, _bits, component_masks, induced
 # is_non_separating stays bound here for bench/tracing.py's led.nonsep hook
 from .realizer import _conjugate_ranks, _require_extension, is_non_separating, realizer
 
@@ -42,39 +43,36 @@ def led_chain_union(lengths: Sequence[int]) -> int:
         raise ValueError("need at least one chain")
     if any(l < 1 for l in lengths):
         raise ValueError("chain lengths must be at least 1")
-    prod = 1
-    for l in lengths:
-        prod *= l + 1
-    mid = 0
-    for k, l in enumerate(lengths):
-        term = (l + 1) * l
-        for i, m in enumerate(lengths):
-            if i != k:
-                term *= m + 1
-        mid += term
-    return _quarter(prod * prod - mid - prod)
+    # prod antichains, of which l_k * prod ordered pairs differ in chain k alone
+    prod = math.prod(l + 1 for l in lengths)
+    return _quarter(prod * (prod - sum(lengths) - 1))
 
 
 class _Engine:
     """Per-(P, sigma) context: position-space masks, the antichain-count
-    sweeps along sigma, and the full delta table."""
+    sweeps along sigma, and the delta tables."""
 
     def __init__(self, P: Poset, sigma: Sequence[int]):
         # sbar[p]: the rank of x_p in sigma_bar (see tables, fact 1)
         self.sbar = _conjugate_ranks(P, sigma)
         if sorted(self.sbar) != list(range(P.n)):
-            raise SeparatingExtension(
-                f"{tuple(sigma)} separates a comparable pair"
-            )
+            raise SeparatingExtension(f"{tuple(sigma)} separates a comparable pair")
         self.n = n = P.n
         self.sigma = tuple(sigma)
-        key = _relabel(n, self.sigma)
-        self.up = [key(P.up_masks[e - 1]) for e in self.sigma]
-        self.down = [key(P.down_masks[e - 1]) for e in self.sigma]
-        self.inc = [key(P.inc_masks[e - 1]) for e in self.sigma]
+        # the masks from the ranks (fact 1 of tables): walking positions in
+        # sigma_bar order, the seen ones before p are below x_p, the unseen
+        # ones after p above it, and the rest incomparable to it
+        self.up, self.down, self.inc = up, down, inc = [0] * n, [0] * n, [0] * n
+        full, seen = (1 << n) - 1, 0
+        for p in sorted(range(n), key=self.sbar.__getitem__):
+            bit = 1 << p
+            down[p] = seen & (bit - 1)
+            up[p] = (full ^ seen) & -(bit << 1)
+            inc[p] = full ^ bit ^ down[p] ^ up[p]
+            seen |= bit
         # ends[p] = a(inc[p] before p): the antichains whose sigma-last
         # member is x_p; 1 + sum(ends) counts all antichains of P
-        self.ends = self.sweep((1 << n) - 1)
+        self.ends = self.sweep(full)
 
     def sweep(self, mask: int, backward: bool = False) -> list:
         """One pass of the antichain DP over the positions in mask.
@@ -100,9 +98,9 @@ class _Engine:
         return vals
 
     def tables(self) -> tuple:
-        """Rows d1, d2, dd with d1[k][l] = delta1, d2[k][l] = delta2 and
-        dd[k][l] = their sum for 0-based positions k, l; entries with x_k
-        not below x_l are 0.
+        """Rows d1 and dd with d1[k][l] = delta1 and dd[k][l] = delta1 +
+        delta2 for 0-based positions k, l, so delta2 is their difference;
+        entries with x_k not below x_l are 0.
 
         delta1(k, l) counts the configurations whose only maximum is x_l:
         pick the sigma-least minimum x_i (i == k or x_i || x_k), fill in
@@ -139,15 +137,18 @@ class _Engine:
            the empty P_{k,k,l}).  Case B's walk for k' adds up that sweep
            over S & inc[k'] from x_k down and would end at starts[k'], so
            it stops at the lowest x_l' above x_k' and skips any k' with no
-           x_l' before x_k.  The side count a(prefix(i) & inc[l]) is a
-           prefix sum of the forward sweep over all of P, `ends` (an
-           antichain ending in inc[l] before x_l lies there), one pass per
-           l; the final sum's a(inc[k] after l) is a suffix sum of the
-           backward sweep over all of P, one pass per k.  The two full
-           sweeps also give gamma: ends[p] = a(inc[p] before p) and the
-           backward value a(inc[p] after p), no member of the one set is
-           comparable to a member of the other, so their product counts
-           the antichains through x_p.
+           x_l' before x_k.  Every x_i and x_k' read lies in S below an x_l
+           above x_k, and a backward value depends only on later positions,
+           so the sweep starts at the lowest such position (none on two
+           chains).  The side count a(prefix(i) & inc[l]) is a prefix sum
+           of the forward sweep over all of P, `ends` (an antichain ending
+           in inc[l] before x_l lies there), one pass per l; the final
+           sum's a(inc[k] after l) is 1 plus the backward sweep over all of
+           P summed after l on the positions before k in sigma_bar (fact
+           1).  The two full sweeps also give gamma: ends[p] = a(inc[p]
+           before p) and the backward value a(inc[p] after p), no member of
+           the one set is comparable to a member of the other, so their
+           product counts the antichains through x_p.
         4. Case B's filters x_l' || x_l and x_k' < x_l read, by fact 1,
            sbar(k') < sbar(l) < sbar(l'); so for fixed k each (k', l')
            term adds to one interval of sigma_bar ranks, and one
@@ -156,10 +157,11 @@ class _Engine:
            every dd they read is final.  Only k' below some x_l above x_k
            can contribute and are visited.
 
-        The sweep of fact 2 costs O(n^2) per k, case B's walk at most
-        O(k - k') per pair, delta1 O(|inc[k]|) and case A O(|up[k]|) per
-        (k, l): the tables take O(n^3) big-integer additions and
-        multiplications in all, and O(n^2) memory.
+        The sweep of fact 2 costs O(n^2) per k and nothing below where fact
+        3 starts it, case B's walk at most O(k - k') per pair, delta1
+        O(|inc[k]|) and case A O(|up[k]|) per (k, l): the tables take O(n^3)
+        big-integer additions and multiplications in all, and two n x n
+        tables of memory.
         """
         n = self.n
         up, down, inc, sbar = self.up, self.down, self.inc, self.sbar
@@ -175,7 +177,6 @@ class _Engine:
                     acc += ends[i]
             left.append(row)
         d1 = [[0] * n for _ in range(n)]
-        d2 = [[0] * n for _ in range(n)]
         dd = [[0] * n for _ in range(n)]
         for k in range(n):
             ups = up[k]
@@ -189,10 +190,10 @@ class _Engine:
                 low = m & -m
                 reach |= down[low.bit_length() - 1]
                 m ^= low
-            starts = self.sweep(side, backward=True)
+            kps = side & reach
+            starts = self.sweep(side & -(kps & -kps), backward=True)
             starts[k] = 1
             diff = [0] * (n + 1)
-            kps = side & reach
             while kps:
                 kbit = kps & -kps
                 kps ^= kbit
@@ -218,7 +219,7 @@ class _Engine:
                         diff[sbar[p]] -= t
                 diff[sbar[kp] + 1] += total
             case_b = list(accumulate(diff))
-            r1, r2, rd = d1[k], d2[k], dd[k]
+            r1, rd = d1[k], dd[k]
             firsts = side | 1 << k
             ls = ups
             while ls:
@@ -240,9 +241,8 @@ class _Engine:
                     s2 += rd[low.bit_length() - 1]
                     m ^= low
                 r1[l] = s1
-                r2[l] = s2
                 rd[l] = s1 + s2
-        return d1, d2, dd
+        return d1, dd
 
 
 class AntichainCountTable(NamedTuple):
@@ -336,7 +336,8 @@ def delta2(P: Poset, sigma: Sequence[int], k: int, l: int) -> int:
     eng = _Engine(P, sigma)
     _check_pos(eng.n, k)
     _check_pos(eng.n, l)
-    return eng.tables()[1][k - 1][l - 1]
+    d1, dd = eng.tables()
+    return dd[k - 1][l - 1] - d1[k - 1][l - 1]
 
 
 class LedBreakdown(NamedTuple):
@@ -349,6 +350,32 @@ class LedBreakdown(NamedTuple):
     led: int
 
 
+def _led_sums(P: Poset, sigma: Sequence[int]) -> tuple:
+    """alpha, beta, gamma, delta and led as led_downset defines them, and
+    the engine with its d1 and dd tables, from which led_downset reads the
+    delta dicts."""
+    eng = _Engine(P, sigma)
+    n = eng.n
+    beta = 1 + sum(eng.ends)
+    alpha = beta * beta
+    # the backward sweep: starts[p] = a(inc[p] after p)
+    starts = eng.sweep((1 << n) - 1, backward=True)
+    gam = _gamma(eng.ends, starts)
+    d1, dd = eng.tables()
+    # delta sums dd(k, l) * a(inc[k] after l).  By fact 1 of tables, for
+    # l after k that count is 1 + sum(starts[q]) over q after l with
+    # sbar[q] < sbar[k]: taking k by increasing sbar, weight[l] holds it
+    weight = [1] * n
+    delta = 0
+    for k in sorted(range(n), key=eng.sbar.__getitem__):
+        delta += sum(map(mul, dd[k], weight))
+        s = starts[k]
+        weight[:k] = [w + s for w in weight[:k]]
+    delta *= 2
+    sums = (alpha, beta, gam, delta, _quarter(alpha - beta - gam - delta))
+    return sums, eng, d1, dd
+
+
 def led_downset(P: Poset, sigma: Sequence[int] | None = None) -> LedBreakdown:
     """Linear extension diameter of the lattice of downsets of P.
 
@@ -359,41 +386,14 @@ def led_downset(P: Poset, sigma: Sequence[int] | None = None) -> LedBreakdown:
     """
     if sigma is None:
         sigma = realizer(P).sigma
-    eng = _Engine(P, sigma)
-    n = eng.n
-    a_total = 1 + sum(eng.ends)
-    alpha = a_total * a_total
-    beta = a_total
-    # the backward sweep: starts[p] = a(inc[p] after p)
-    starts = eng.sweep((1 << n) - 1, backward=True)
-    gam = _gamma(eng.ends, starts)
-    d1_rows, d2_rows, dd = eng.tables()
-    # dd(k, l) * a(inc[k] after l), the suffix sums of starts down to the
-    # lowest x_l above x_k
-    delta = 0
-    for k in range(n):
-        ups = eng.up[k]
-        row = dd[k]
-        side = eng.inc[k] & -(ups & -ups)
-        acc = 1
-        m = ups | side
-        while m:
-            p = m.bit_length() - 1
-            bit = 1 << p
-            m ^= bit
-            if side & bit:
-                acc += starts[p]
-            else:
-                delta += row[p] * acc
-    delta *= 2
-    num = alpha - beta - gam - delta
+    (alpha, beta, gam, delta, led), eng, d1_rows, dd = _led_sums(P, sigma)
     d1, d2 = {}, {}
-    for l in range(n):
+    for l in range(eng.n):
         for k in _bits(eng.down[l]):
             key = (k + 1, l + 1)
-            d1[key] = d1_rows[k][l]
-            d2[key] = d2_rows[k][l]
-    return LedBreakdown(alpha, beta, gam, delta, d1, d2, _quarter(num))
+            d1[key] = v = d1_rows[k][l]
+            d2[key] = dd[k][l] - v
+    return LedBreakdown(alpha, beta, gam, delta, d1, d2, led)
 
 
 def led_upper_bound(P: Poset, cap: int = 1 << 10) -> int:

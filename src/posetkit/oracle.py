@@ -107,10 +107,15 @@ def le_graph_diameter(P: Poset, cap: int = DEFAULT_CAP) -> tuple:
     The diameter is taken as the maximum pairwise reversal distance, which
     classically equals the graph distance; breadth-first search re-derives
     it from adjacency alone as a consistency check (from every vertex up to
-    256 vertices, from the diametral endpoints beyond that).
+    256 vertices, from the diametral endpoints beyond that).  cap bounds
+    the V extensions listed and 16 * cap the V(V-1)/2 pairs scanned: a pair
+    costs about a thirtieth of an extension listed, and the 8.8 million
+    pairs of the chevron's downset lattice fit the default cap.
     """
     exts = all_linear_extensions(P, cap)
     V = len(exts)
+    if (pairs := V * (V - 1) // 2) > 16 * cap:
+        raise CapExceeded(f"{pairs} pairs of linear extensions, more than 16 * {cap}")
     if V == 1:
         return 0, []
     _, masks = _reversal_masks(P, exts)

@@ -92,6 +92,20 @@ def test_led_downset_breakdown(tmp_path, capsys):
     }
 
 
+def test_led_downset_breakdown_matches_the_library(tmp_path, capsys):
+    # the CLI prints the sums of led._led_sums; led_downset is the public
+    # breakdown over the same core
+    for P in (random_two_dim(60, random.Random(8)), pk.chain_union([5, 9, 4])):
+        path = _poset_file(tmp_path, P)
+        code, out, err = _run(capsys, ["led-downset", path, "--breakdown"])
+        assert code == 0
+        b = pk.led_downset(P)
+        assert _payload(out)["result"] == {
+            "led": str(b.led), "alpha": str(b.alpha), "beta": str(b.beta),
+            "gamma": str(b.gamma), "delta": str(b.delta),
+        }
+
+
 def test_led_downset_upper_bound_only(tmp_path, capsys):
     path = _poset_file(tmp_path, pk.chevron())
     code, out, err = _run(capsys, ["led-downset", path, "--upper-bound-only"])
@@ -205,6 +219,18 @@ def test_oracle_cap_exits_three(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert "cap exceeded" in err
+
+
+def test_oracle_diameter_refuses_too_many_pairs_at_once(tmp_path, capsys):
+    # 66272 extensions fit the default cap, but their 2.2e9 pairs do not:
+    # the pair scan must be refused before it starts
+    path = _poset_file(tmp_path, random_two_dim(12, random.Random(0)))
+    started = time.perf_counter()
+    code, out, err = _run(capsys, ["oracle", path, "diameter"])
+    assert code == 3
+    assert out == ""
+    assert "cap exceeded: 2195955856 pairs of linear extensions" in err
+    assert time.perf_counter() - started < 30
 
 
 def test_oversized_input_exits_three(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -263,12 +264,12 @@ def test_delta_two_chain():
 
 def assert_tables_match_reference(P, sigma):
     eng = pk.led._Engine(P, sigma)
-    d1, d2, dd = eng.tables()
+    d1, dd = eng.tables()
     r1, r2, rd = reference_tables(eng.down, eng.inc)
     for k in range(P.n):
         for l in range(P.n):
             key = (k, l)
-            assert (d1[k][l], d2[k][l], dd[k][l]) == (
+            assert (d1[k][l], dd[k][l] - d1[k][l], dd[k][l]) == (
                 r1.get(key, 0), r2.get(key, 0), rd.get(key, 0)
             ), (sigma, key)
     assert pk.led_downset(P, sigma).delta == reference_delta(eng.inc, rd)
@@ -309,14 +310,62 @@ def test_tables_match_reference_on_chain_unions_and_antichains():
 
 def test_tables_match_reference_at_benchmark_size():
     # the sizes led-downset is timed at: random 2D orders with n = 84 and
-    # n = 100 through both realizer orders, and two chains of 55
+    # n = 100 through both realizer orders, two chains of 55, and three
+    # chains of 32, where the per-k sweep starts partway through inc[k]
     rng = random.Random(29)
     posets = [random_two_dim(n, rng) for n in (84, 84, 100, 100)]
     posets.append(shuffled_chain_union([55, 55], rng))
+    posets += [shuffled_chain_union([32, 32, 32], rng) for _ in range(2)]
     for P in posets:
         r = pk.realizer(P)
         assert_tables_match_reference(P, r.sigma)
         assert_tables_match_reference(P, r.sigma_bar)
+
+
+def assert_engine_masks_relabel_the_poset(P, sigma):
+    # the engine builds its masks from the conjugate ranks; here they are
+    # P's own masks carried to sigma positions one element at a time
+    eng = pk.led._Engine(P, sigma)
+    at = {e: p for p, e in enumerate(sigma)}
+    for name, rows in (("up", P.up_masks), ("down", P.down_masks),
+                       ("inc", P.inc_masks)):
+        want = [sum(1 << at[f] for f in P.elements() if rows[e - 1] >> (f - 1) & 1)
+                for e in sigma]
+        assert getattr(eng, name) == want, (sigma, name)
+
+
+def test_engine_masks_relabel_the_poset_on_every_non_separating_extension():
+    checked = 0
+    for n in range(6):
+        for P in all_posets_upto_iso(n):
+            for sigma in pk.all_linear_extensions(P):
+                if not separates(P, sigma):
+                    assert_engine_masks_relabel_the_poset(P, sigma)
+                    checked += 1
+    assert checked > 200
+
+
+def test_engine_masks_relabel_the_poset_at_benchmark_size():
+    rng = random.Random(31)
+    posets = [random_two_dim(n, rng) for n in (84, 100)]
+    posets += [shuffled_chain_union(L, rng) for L in ([55, 55], [32, 32, 32])]
+    for P in posets:
+        r = pk.realizer(P)
+        assert_engine_masks_relabel_the_poset(P, r.sigma)
+        assert_engine_masks_relabel_the_poset(P, r.sigma_bar)
+
+
+def test_engine_setup_memory_is_linear_in_the_masks():
+    # the masks come from the ranks, with no per-byte relabelling table:
+    # a 1024-chain's set-up stays well under the ~3.6 MB such a table took
+    P = pk.chain(1024)
+    tracemalloc.start()
+    try:
+        pk.led._Engine(P, range(1, 1025))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000, peak
 
 
 def test_conjugate_rank_check_raises():
