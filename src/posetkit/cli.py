@@ -25,7 +25,7 @@ from .oracle import (
 from .poset import DEFAULT_CAP, _bit_sums, _downset_covers, parse_poset
 from .realizer import realizer
 from .revlex import _inversions, _revlex_pair
-from .svg import dominance_svg
+from .svg import _svg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,20 +129,21 @@ def _run_diametral(args) -> tuple:
     o1, o2 = _revlex_pair(P, args.max_lattice, r)
     at2 = {m: y for y, m in enumerate(o2, start=1)}
     ys = [at2[m] for m in o1]  # L_sigma_bar position of each downset in L_sigma order
-    names = _bit_sums([[str(e)] for e in P.elements()], [])
-    texts = {m: _Json(_enclose("[]", names(m), "\n")) for m in o1}
+    # each downset's member list as JSON text at depth one, rendered once
+    members = _bit_sums([",\n    " + str(e) for e in P.elements()], "")
+    texts = {m: "[" + s[1:] + "\n  ]" if (s := members(m)) else "[]" for m in o1}
     result = {
         "sigma": list(r.sigma),
         "sigma_bar": list(r.sigma_bar),
         "distance": str(_inversions(ys)),
-        "extension_1": [texts[m] for m in o1],
-        "extension_2": [texts[m] for m in o2],
+        "extension_1": _Json(_enclose("[]", list(texts.values()), "\n")),
+        "extension_2": _Json(_enclose("[]", [texts[m] for m in o2], "\n")),
     }
     if args.svg:
         # render first: a bad --scale must not truncate an existing file
-        coords = {x: (x, y) for x, y in enumerate(ys, start=1)}
-        covers = _downset_covers(P, {m: x for x, m in enumerate(o1, start=1)})
-        svg = dominance_svg(coords, covers, args.scale)
+        covers = _downset_covers(P, {m: i for i, m in enumerate(o1)})
+        covers.sort()
+        svg = _svg(list(enumerate(ys, start=1)), covers, args.scale)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
         result["svg"] = args.svg

@@ -64,7 +64,11 @@ def random_two_dim(n, rng):
 
 
 def random_not_two_dim(n, rng):
-    """A random order on n points, drawn until it is not two-dimensional."""
+    """A random order on n points, drawn until it is not two-dimensional.
+    Every order on at most 5 points is two-dimensional, so n < 6 is
+    refused instead of drawn forever."""
+    if n < 6:
+        raise ValueError(f"every order on {n} < 6 points is two-dimensional")
     while True:
         pairs = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
                  if rng.random() < 0.4]

@@ -15,7 +15,7 @@ import pytest
 import posetkit as pk
 from posetkit import cli
 
-from conftest import random_two_dim
+from conftest import random_two_dim, shuffled_chain_union
 
 
 def _poset_file(tmp_path, P, name="input.poset"):
@@ -178,6 +178,25 @@ def test_diametral_svg(tmp_path, capsys):
             for a, b in pk.cover_pairs(dl.lattice)
         ]
         assert content == pk.dominance_svg(coords, covers, 24)
+
+
+def test_diametral_svg_at_benchmark_size(tmp_path, capsys):
+    # as many downsets as the benchmark draws: the drawing is the library's
+    # from the pair and its covers, and stdout is the sorted indent-2 dump
+    posets = [pk.antichain_poset(10), shuffled_chain_union([9, 9, 9], random.Random(5))]
+    for P in posets:
+        path = _poset_file(tmp_path, P)
+        svg_path = tmp_path / "picture.svg"
+        code, out, err = _run(capsys, ["diametral", path, "--svg", str(svg_path)])
+        assert code == 0
+        # compared as lists of lines: a failing diff of one long string is slow
+        dump = json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+        assert out.splitlines(True) == dump.splitlines(True)
+        L1, L2 = pk.diametral_pair(P)
+        assert len(L1.order) in (1000, 1024)
+        want = pk.dominance_svg(pk.dominance_coordinates(L1, L2),
+                                pk.poset.downset_covers(P, L1.order), 24)
+        assert svg_path.read_text(encoding="utf-8").splitlines(True) == want.splitlines(True)
 
 
 def test_diametral_bad_scale_leaves_an_existing_svg_alone(tmp_path, capsys):

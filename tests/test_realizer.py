@@ -240,6 +240,14 @@ def test_not_two_dimensional_names_an_incomparable_edge():
             pk.realizer(P)
 
 
+def test_random_not_two_dim_refuses_sizes_where_every_order_is_two_dim():
+    # every order on at most 5 points is 2D, so a draw there never ends
+    for n in range(6):
+        with pytest.raises(ValueError):
+            random_not_two_dim(n, random.Random(n))
+    assert not pk.is_two_dimensional(random_not_two_dim(6, random.Random(0)))
+
+
 def test_non_separating():
     P = pk.poset_from_relations(3, [(1, 3)])
     assert not pk.is_non_separating(P, (1, 2, 3))
