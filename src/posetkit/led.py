@@ -17,8 +17,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import ContractViolation, IndexOutOfRange, SeparatingExtension
 from .poset import Poset, _antichains, _bits, component_masks, induced
-# is_non_separating stays bound here for bench/tracing.py's led.nonsep hook
-from .realizer import _conjugate_ranks, _require_extension, is_non_separating, realizer
+from .realizer import _conjugate_ranks, _require_extension, realizer
 
 
 def _quarter(num: int) -> int:

@@ -61,7 +61,7 @@ def all_linear_extensions(P: Poset, cap: int = DEFAULT_CAP) -> list:
     return out
 
 
-def _reversal_masks(P: Poset, exts: list) -> tuple:
+def _reversal_masks(P: Poset, exts: list) -> list:
     """Bit per unordered incomparable pair, set when the pair appears in
     descending element order; XOR popcount of two masks is the reversal
     distance."""
@@ -74,7 +74,7 @@ def _reversal_masks(P: Poset, exts: list) -> tuple:
             if pos[a] > pos[b]:
                 m |= 1 << t
         masks.append(m)
-    return pairs, masks
+    return masks
 
 
 def _neighbors(P: Poset, ext: tuple):
@@ -118,7 +118,7 @@ def le_graph_diameter(P: Poset, cap: int = DEFAULT_CAP) -> tuple:
         raise CapExceeded(f"{pairs} pairs of linear extensions, more than 16 * {cap}")
     if V == 1:
         return 0, []
-    _, masks = _reversal_masks(P, exts)
+    masks = _reversal_masks(P, exts)
     diam = 0
     census = []
     for i in range(V):

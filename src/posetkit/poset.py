@@ -358,12 +358,6 @@ def _downset_covers(P: Poset, label: dict) -> list:
     return out
 
 
-def downset_covers(P: Poset, downsets: Iterable[tuple]) -> list:
-    """Covering pairs (D, D + x) of the downset lattice.  downsets must be
-    every downset of P, as tuples; the pairs hold those tuples."""
-    return _downset_covers(P, {_mask_of(P.n, D): D for D in downsets})
-
-
 def chain(n: int) -> Poset:
     return poset_from_relations(n, [(i, i + 1) for i in range(1, n)])
 

@@ -38,8 +38,8 @@ def _arc_masks(P: Poset) -> list:
     loop body serves both sides.  Forcing reaches the same fixpoint in any
     order.  A class is kept as arc masks; one forcing some edge both ways
     (out[a] & into[a] not empty) proves there is no transitive orientation.
-    Nothing else is checked here: `transitive_orientation` certifies its
-    pairs and `realizer` its orders.
+    Nothing else is checked here: `_certified` checks the masks for
+    `transitive_orientation`, `is_two_dimensional` and `realizer`.
     """
     n = P.n
     adj = list(P.inc_masks)       # edges not yet in any class
@@ -59,10 +59,8 @@ def _arc_masks(P: Poset) -> list:
             touched = low | bit_i
             pending = [bit_i, low]    # vertices with new out-, in-arcs
             d = 0
-            while pending[d] or pending[d ^ 1]:
-                if not pending[d]:
-                    d ^= 1
-                verts = pending[d]
+            # after the first pass only the side just fed has pending vertices
+            while verts := pending[d]:
                 pending[d] = 0
                 mine, theirs, new_mine, new_theirs = sides[d]
                 reached = 0           # the other ends of the forced arcs
@@ -108,29 +106,6 @@ def _arc_masks(P: Poset) -> list:
     return arcs
 
 
-def transitive_orientation(P: Poset) -> list:
-    """Orient every incomparable pair so the orientation is transitive:
-    the sorted 1-based pairs (a, b), a -> b, of `_arc_masks`.
-
-    The union of forced classes is transitive whenever every class is
-    proper; keep a per-arc certificate of that fact.
-    """
-    arcs = _arc_masks(P)
-    for a in range(P.n):
-        for b in _bits(arcs[a]):
-            if arcs[b] & ~arcs[a]:
-                raise ContractViolation("orientation not transitive")
-    return [(a + 1, b + 1) for a in range(P.n) for b in _bits(arcs[a])]
-
-
-def is_two_dimensional(P: Poset) -> bool:
-    try:
-        transitive_orientation(P)
-    except NotTwoDimensional:
-        return False
-    return True
-
-
 class Realizer2D(NamedTuple):
     sigma: tuple
     sigma_bar: tuple
@@ -151,9 +126,9 @@ def _placed(ranks: list) -> tuple:
     return tuple(order), ahead
 
 
-def realizer(P: Poset) -> Realizer2D:
-    """A realizer by two linear extensions: intersecting their orders gives
-    back exactly the poset relation.
+def _certified(P: Poset) -> tuple:
+    """The arc masks of `_arc_masks` with the realizer (sigma, sigma_bar)
+    they induce, certified by the rank checks alone.
 
     sigma puts a before b for each arc a -> b of the orientation, sigma_bar
     puts b first.  Every incomparable pair is oriented exactly once, so e
@@ -162,9 +137,10 @@ def realizer(P: Poset) -> Realizer2D:
 
     The arc masks come from `_arc_masks` unchecked.  P plus the arcs and P
     plus their reverse are tournaments, and a tournament is a linear order
-    iff its ranks are 0..n-1, which `_placed` checks for both; that holds
-    exactly when the orientation is transitive.  The last check is that
-    the two orders intersect to P.
+    iff its ranks are 0..n-1, which `_placed` checks for both.  That holds
+    exactly when the orientation is transitive: a -> b -> c puts a before c
+    in sigma and after it in sigma_bar, so a || c and a -> c.  The last
+    check is that the two orders intersect to P.
     """
     n = P.n
     out = _arc_masks(P)
@@ -174,7 +150,28 @@ def realizer(P: Poset) -> Realizer2D:
     # extend P and their intersection is P
     if any(s & t != d for s, t, d in zip(a1, a2, P.down_masks)):
         raise ContractViolation("realizer mismatch")
-    return Realizer2D(sigma, sigma_bar)
+    return out, sigma, sigma_bar
+
+
+def transitive_orientation(P: Poset) -> list:
+    """Orient every incomparable pair so the orientation is transitive:
+    the sorted 1-based pairs (a, b), a -> b, of the certified arc masks."""
+    arcs = _certified(P)[0]
+    return [(a + 1, b + 1) for a in range(P.n) for b in _bits(arcs[a])]
+
+
+def is_two_dimensional(P: Poset) -> bool:
+    try:
+        _certified(P)
+    except NotTwoDimensional:
+        return False
+    return True
+
+
+def realizer(P: Poset) -> Realizer2D:
+    """A realizer by two linear extensions: intersecting their orders gives
+    back exactly the poset relation."""
+    return Realizer2D(*_certified(P)[1:])
 
 
 def _conjugate_ranks(P: Poset, order: Sequence[int]) -> list:

@@ -98,6 +98,15 @@ def separates(P, order):
     )
 
 
+def downset_covers(P, downsets):
+    """The covering pairs (D, D + x) of the downset lattice, literally: each
+    listed D with each x outside it for which D + x is listed.  downsets
+    must be every downset of P, as tuples; the pairs hold those tuples."""
+    listed = {D: D for D in downsets}
+    return [(D, listed[E]) for D in listed for x in P.elements()
+            if x not in D and (E := tuple(sorted(D + (x,)))) in listed]
+
+
 def dual(P):
     """P^op: the same ground set with every relation reversed."""
     return pk.poset_from_relations(P.n, [(y, x) for x, y in P.relation_pairs()])

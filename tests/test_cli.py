@@ -15,7 +15,7 @@ import pytest
 import posetkit as pk
 from posetkit import cli
 
-from conftest import random_two_dim, shuffled_chain_union
+from conftest import downset_covers, random_two_dim, shuffled_chain_union
 
 
 def _poset_file(tmp_path, P, name="input.poset"):
@@ -195,7 +195,7 @@ def test_diametral_svg_at_benchmark_size(tmp_path, capsys):
         L1, L2 = pk.diametral_pair(P)
         assert len(L1.order) in (1000, 1024)
         want = pk.dominance_svg(pk.dominance_coordinates(L1, L2),
-                                pk.poset.downset_covers(P, L1.order), 24)
+                                downset_covers(P, L1.order), 24)
         assert svg_path.read_text(encoding="utf-8").splitlines(True) == want.splitlines(True)
 
 

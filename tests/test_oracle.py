@@ -172,6 +172,11 @@ def test_class_reversals_mismatch():
     M1, _ = _diametral_extensions(Q)
     with pytest.raises(pk.MismatchedGroundSets):
         pk.class_reversals(C, L1, M1)
+    # both extensions order one family, but not the class's downsets
+    order = tuple(d + (9,) for d in L1.order)
+    L = pk.LatticeExtension(order, {d: p for p, d in enumerate(order, start=1)})
+    with pytest.raises(pk.MismatchedGroundSets, match="not in the extension"):
+        pk.class_reversals(C, L, L)
 
 
 # ---------------------------------------------------------------------------

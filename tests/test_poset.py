@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import posetkit as pk
-from posetkit.poset import _bits, is_antichain
+from posetkit.poset import _bits, _downset_covers, _mask_of, is_antichain
 
 from conftest import all_posets_upto_iso, brute_antichains, random_two_dim
 
@@ -66,6 +66,28 @@ def test_rejects_cycles_and_bad_ids():
         pk.poset_from_relations(2, [(1, 3)])
     with pytest.raises(pk.IndexOutOfRange):
         pk.poset_from_relations(2, [(0, 1)])
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: pk.Poset(-1, []), pk.IndexOutOfRange),
+    (lambda: pk.Poset(2, [0]), pk.IndexOutOfRange),             # wrong length
+    (lambda: pk.Poset(2, [0b100, 0]), pk.IndexOutOfRange),      # bit beyond n
+    (lambda: pk.Poset(2, [0b01, 0]), pk.CycleDetected),         # 1 < 1
+    (lambda: pk.Poset(2, [0b10, 0b01]), pk.CycleDetected),      # 1 < 2 < 1
+    (lambda: pk.Poset(3, [0b010, 0b100, 0]), ValueError),       # 1 < 2 < 3, not 1 < 3
+    (lambda: pk.poset_from_relations(-1, []), pk.IndexOutOfRange),
+])
+def test_poset_guards(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_poset_hash_agrees_with_equality():
+    P = pk.Poset(3, [0b110, 0b100, 0])
+    assert P == pk.chain(3) and hash(P) == hash(pk.chain(3))
+    assert P != pk.antichain_poset(3) and P != P.up_masks
+    assert len({P, pk.chain(3), pk.chain_union([2, 1])}) == 2
+    assert repr(P) == "Poset(n=3, relations=[(1, 2), (1, 3), (2, 3)])"
 
 
 @given(st.integers(1, 7), st.data())
@@ -252,14 +274,8 @@ def test_downset_covers_match_the_lattice_covers():
         dl = pk.downset_lattice(P)
         want = sorted((dl.downsets[a - 1], dl.downsets[b - 1])
                       for a, b in pk.cover_pairs(dl.lattice))
-        assert sorted(pk.poset.downset_covers(P, dl.downsets)) == want
-
-
-def test_downset_covers_rejects_elements_outside_the_poset():
-    downsets = [(), (1,), (2,), (1, 2)]
-    for bad in ((0,), (3,), (1, 3)):
-        with pytest.raises(pk.IndexOutOfRange):
-            pk.poset.downset_covers(pk.antichain_poset(2), downsets + [bad])
+        label = {_mask_of(P.n, D): D for D in dl.downsets}
+        assert sorted(_downset_covers(P, label)) == want
 
 
 def test_chain_union_numbering():

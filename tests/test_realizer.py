@@ -158,7 +158,9 @@ def test_realizer_rejects_orders_that_do_not_intersect_to_the_poset(monkeypatch)
 
 def test_realizer_raises_exactly_on_non_transitive_orientations(monkeypatch):
     # realizer certifies the masks it is given by its own checks alone:
-    # every orientation of the incomparability graph, up to 5 points
+    # every orientation of the incomparability graph, up to 5 points.  The
+    # same certificate guards transitive_orientation and is_two_dimensional,
+    # and is_two_dimensional must pass its failure on, not answer False
     module = importlib.import_module("posetkit.realizer")
     outcomes = set()
     for n in range(6):
@@ -178,6 +180,13 @@ def test_realizer_raises_exactly_on_non_transitive_orientations(monkeypatch):
                     raised = True
                 assert raised == (not transitive), (P.relation_pairs(), arcs)
                 outcomes.add(raised)
+                if transitive:
+                    assert pk.transitive_orientation(P) == sorted(arcs)
+                    assert pk.is_two_dimensional(P)
+                else:
+                    for check in (pk.transitive_orientation, pk.is_two_dimensional):
+                        with pytest.raises(pk.ContractViolation):
+                            check(P)
     assert outcomes == {False, True}
 
 

@@ -13,6 +13,7 @@ import posetkit as pk
 from conftest import (
     all_posets_upto_iso,
     as_lattice_extension,
+    downset_covers,
     random_two_dim,
     validate_lattice_extension,
 )
@@ -163,6 +164,10 @@ def test_reversal_distance_mismatch():
     L2 = pk.build_revlex_extension(pk.chain(2), (1, 2))
     with pytest.raises(pk.MismatchedGroundSets):
         pk.reversal_distance(L1, L2)
+    # the same downsets, but an index that is not the positions 1..N
+    for index in ({d: 1 for d in L1.order}, {d: p for p, d in enumerate(L1.order)}):
+        with pytest.raises(pk.MismatchedGroundSets, match="positions"):
+            pk.reversal_distance(L1, pk.LatticeExtension(L1.order, index))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +241,7 @@ def test_diametral_pair_shares_one_tuple_per_downset():
         same = {d: d for d in L1.order}
         assert len(same) == len(L1) == len(L2)
         assert all(same[d] is d for d in L2.order)
-        covers = pk.poset.downset_covers(P, L1.order)
+        covers = downset_covers(P, L1.order)
         assert covers
         assert all(same[a] is a and same[b] is b for a, b in covers)
 
@@ -329,7 +334,7 @@ def test_dominance_svg_does_not_depend_on_the_cover_order():
     for P in posets:
         L1, L2 = pk.diametral_pair(P)
         coords = pk.dominance_coordinates(L1, L2)
-        covers = pk.poset.downset_covers(P, L1.order)
+        covers = downset_covers(P, L1.order)
         want = pk.dominance_svg(coords, covers, 10)
         segments = [tuple(map(int, m)) for m in re.findall(
             r'<line x1="(\d+)" y1="(\d+)" x2="(\d+)" y2="(\d+)"/>', want)]

@@ -6,7 +6,7 @@ import pytest
 
 import posetkit as pk
 
-from conftest import random_two_dim
+from conftest import downset_covers, random_two_dim
 from reference_svg import dominance_svg as reference_svg
 
 SCALES = (1, 7, 24)
@@ -43,7 +43,7 @@ def test_dominance_svg_matches_the_reference_on_dominance_drawings():
     for P in posets:
         L1, L2 = pk.diametral_pair(P)
         coords = pk.dominance_coordinates(L1, L2)
-        covers = pk.poset.downset_covers(P, L1.order)
+        covers = downset_covers(P, L1.order)
         for scale in SCALES:
             want = reference_svg(coords, covers, scale)
             assert pk.dominance_svg(coords, covers, scale) == want
