@@ -22,7 +22,7 @@ from .oracle import (
     enumerate_classes,
     le_graph_diameter,
 )
-from .poset import DEFAULT_CAP, _bit_sums, _downset_covers, parse_poset
+from .poset import DEFAULT_CAP, _downset_covers, parse_poset
 from .realizer import realizer
 from .revlex import _inversions, _revlex_pair
 from .svg import _svg
@@ -123,6 +123,31 @@ def _run_led_downset(args) -> tuple:
     return text, result if args.breakdown else {"led": result["led"]}
 
 
+def _bit_sums(values: list):
+    """The function mask -> the values[j] of the set bits j of mask, joined
+    in increasing j.  One 256-entry table per byte of the mask holds the
+    text of every value of that byte, so a mask costs a lookup per byte."""
+    values = values + [""] * (-len(values) % 8)
+    tables = []
+    for lo in range(0, len(values), 8):
+        t = [""] * 256
+        for v in range(1, 256):
+            low = v & -v
+            t[v] = values[lo + low.bit_length() - 1] + t[v ^ low]
+        tables.append(t)
+
+    def total(mask: int) -> str:
+        s = ""
+        for t in tables:
+            if not mask:
+                break
+            s += t[mask & 255]
+            mask >>= 8
+        return s
+
+    return total
+
+
 def _run_diametral(args) -> tuple:
     text, P = _load(args.file)
     r = realizer(P)
@@ -130,7 +155,7 @@ def _run_diametral(args) -> tuple:
     at2 = {m: y for y, m in enumerate(o2, start=1)}
     ys = [at2[m] for m in o1]  # L_sigma_bar position of each downset in L_sigma order
     # each downset's member list as JSON text at depth one, rendered once
-    members = _bit_sums([",\n    " + str(e) for e in P.elements()], "")
+    members = _bit_sums([",\n    " + str(e) for e in P.elements()])
     texts = {m: "[" + s[1:] + "\n  ]" if (s := members(m)) else "[]" for m in o1}
     result = {
         "sigma": list(r.sigma),

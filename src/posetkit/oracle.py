@@ -282,19 +282,9 @@ class CriticalPair(NamedTuple):
 def critical_pairs(P: Poset) -> list:
     """Ordered incomparable pairs (x, y) with everything below x below y and
     everything above y above x; swapping such a pair keeps extendability."""
-    out = []
-    for x in P.elements():
-        ix = x - 1
-        for y in range(1, P.n + 1):
-            iy = y - 1
-            if x == y or not P.inc_masks[ix] >> iy & 1:
-                continue
-            if P.down_masks[ix] & ~P.down_masks[iy]:
-                continue
-            if P.up_masks[iy] & ~P.up_masks[ix]:
-                continue
-            out.append(CriticalPair(x, y))
-    return out
+    down, up = P.down_masks, P.up_masks
+    return [CriticalPair(x + 1, y + 1) for x in range(P.n) for y in _bits(P.inc_masks[x])
+            if not down[x] & ~down[y] and not up[y] & ~up[x]]
 
 
 def is_diametrally_reversing(P: Poset, cap: int = DEFAULT_CAP) -> bool:

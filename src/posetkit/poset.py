@@ -21,8 +21,7 @@ from .errors import (
 DEFAULT_CAP = 1 << 20
 
 # Largest ground set accepted: the n-bit up, down and incomparable rows take
-# about 6 MB at 4096 (count_antichains: 2.5 s, 6.6 MB tracemalloc peak), and
-# only the diametral/revlex path adds a _relabel table, 41-61 MB at 4096.
+# about 6 MB at 4096 (count_antichains: 2.5 s, 6.6 MB tracemalloc peak).
 MAX_ELEMENTS = 4096
 
 
@@ -45,45 +44,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _bit_sums(values: list, zero):
-    """The function mask -> the sum of values[j] over the set bits j of mask,
-    added in increasing j from zero, the empty sum.  One 256-entry table
-    per byte of the mask holds the sum for every value of that byte, so a
-    mask costs one lookup per byte instead of one step per member."""
-    values = values + [zero] * (-len(values) % 8)
-    tables = []
-    for lo in range(0, len(values), 8):
-        t = [zero] * 256
-        for v in range(1, 256):
-            low = v & -v
-            t[v] = values[lo + low.bit_length() - 1] + t[v ^ low]
-        tables.append(t)
-
-    def total(mask: int):
-        s = zero
-        for t in tables:
-            if not mask:
-                break
-            s = s + t[mask & 255]
-            mask >>= 8
-        return s
-
-    return total
-
-
-def _relabel(n: int, order: Sequence[int]):
-    """The map from an element mask to the mask of its members' positions
-    in order, a permutation of 1..n: bit p stands for order[p].
-
-    Integer less-than of the images is revlex_less for order: the highest
-    bit of their XOR is the order-largest element of the symmetric
-    difference."""
-    bit = [0] * n
-    for p, e in enumerate(order):
-        bit[e - 1] = 1 << p
-    return _bit_sums(bit, 0)
 
 
 class Poset:
@@ -273,28 +233,41 @@ def maxima_of_downset(P: Poset, S: Iterable[int]) -> tuple:
     return tuple(j + 1 for j in _bits(mask) if not P._up[j] & mask)
 
 
-def _antichains(P: Poset, cap: int):
-    """Yield (A, D) for every antichain A, the empty one first, in
-    lexicographic order of the sorted member tuples: A as a bitmask and D
-    its down-closure.  Raises CapExceeded past cap."""
+def _antichains(P: Poset, cap: int, order: Sequence[int] = ()):
+    """Yield (A, D) for every antichain A, the empty one first, in colex
+    order of its members' positions in order (1..n by default): A as an
+    element bitmask and D its down-closure.  Raises CapExceeded past cap.
+
+    For a linear extension sigma this is revlex order of the D: for D != D'
+    take z the sigma-last element of D ^ D', say z in D'.  What is above z
+    comes after it, so lies in both or neither, and not in D, a downset
+    without z.  So z is a maximum of D' but not of D, and both have the same
+    maxima after z: D is before D' iff max(D) is before max(D') in colex."""
     # the minimal (or the maximal) elements form an antichain: k give 2^k
     if P.n and 1 << max(sum(not m for m in P._down), sum(not m for m in P._up)) > cap:
         raise CapExceeded(f"more than {cap} antichains")
     yield 0, 0
-    count, down, inc = 1, P._down, P._inc
-    # depth-first; a frame is an antichain, its closure and untried candidates
-    stack = [(0, 0, (1 << P.n) - 1)]
+    # x_p is element ids[p] + 1; inc[p]: the positions incomparable to x_p
+    ids, inc = [e - 1 for e in order] or range(P.n), P._inc
+    if order:  # relabelled once per walk, O(incomparable pairs)
+        at = {j: 1 << p for p, j in enumerate(ids)}
+        inc = [sum(at[q] for q in _bits(inc[j])) for j in ids]
+    count, down = 1, P._down
+    # depth-first; a frame is an antichain, its closure, and the positions
+    # listed (tried) and to list (untried) below its members, incomparable to it
+    stack = [(0, 0, 0, (1 << P.n) - 1)]
     while stack:
-        A, D, rest = stack.pop()
-        if rest:
+        A, D, tried, untried = stack.pop()
+        if untried:
             if count >= cap:
                 raise CapExceeded(f"more than {cap} antichains")
             count += 1
-            low = rest & -rest
-            j = low.bit_length() - 1
-            A2, D2 = A | low, D | low | down[j]
+            low = untried & -untried
+            p = low.bit_length() - 1
+            j = ids[p]
+            A2, D2 = A | 1 << j, D | 1 << j | down[j]
             yield A2, D2
-            stack += [(A, D, rest ^ low), (A2, D2, rest & inc[j])]
+            stack += [(A, D, tried | low, untried ^ low), (A2, D2, 0, tried & inc[p])]
 
 
 def enumerate_antichains(P: Poset, cap: int = DEFAULT_CAP) -> list:
@@ -302,7 +275,7 @@ def enumerate_antichains(P: Poset, cap: int = DEFAULT_CAP) -> list:
     lexicographic order.  Raises CapExceeded past cap."""
     # tuples only once the listing is under cap: then each has <= log2(cap) members
     masks = [A for A, _ in _antichains(P, cap)]
-    return [tuple(j + 1 for j in _bits(A)) for A in masks]
+    return sorted(tuple(j + 1 for j in _bits(A)) for A in masks)
 
 
 def all_downsets(P: Poset, cap: int = DEFAULT_CAP) -> list:
@@ -318,12 +291,12 @@ class DownsetLattice(NamedTuple):
 
 
 def downset_lattice(P: Poset, cap: int = DEFAULT_CAP) -> DownsetLattice:
+    """The downsets of P ordered by inclusion, by a scan of all downset
+    pairs: more than cap pairs raise CapExceeded before it."""
     masks = all_downsets(P, cap)
-    up = [0] * len(masks)
-    for i, a in enumerate(masks):
-        for j, b in enumerate(masks):
-            if a != b and a & b == a:
-                up[i] |= 1 << j
+    if len(masks) ** 2 > cap:
+        raise CapExceeded(f"more than {cap} downset pairs")
+    up = [sum(1 << j for j, b in enumerate(masks) if a != b and a & b == a) for a in masks]
     downs = tuple(tuple(j + 1 for j in _bits(m)) for m in masks)
     index = {d: i + 1 for i, d in enumerate(downs)}
     return DownsetLattice(Poset(len(masks), up), downs, index)

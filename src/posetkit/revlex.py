@@ -1,8 +1,9 @@
 """Reverse-lexicographic orders on downsets, and reversal distance.
 
 For a fixed linear extension sigma, a set S precedes T exactly if the
-sigma-largest element of the symmetric difference lies in T.  Sorting all
-downsets of P this way yields a linear extension of the downset lattice.
+sigma-largest element of the symmetric difference lies in T.  All downsets
+of P in this order, which the antichain walk lists directly, form a linear
+extension of the downset lattice.
 """
 
 from __future__ import annotations
@@ -10,8 +11,8 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, EqualSets, IndexOutOfRange, MismatchedGroundSets
-from .led import count_antichains
-from .poset import DEFAULT_CAP, Poset, _bits, _relabel, all_downsets
+from .led import _Engine
+from .poset import DEFAULT_CAP, Poset, _antichains, _bits
 from .realizer import Realizer2D, _require_extension, realizer
 
 
@@ -47,9 +48,9 @@ def _extension(order: list, tuples: dict) -> LatticeExtension:
 def build_revlex_extension(
     P: Poset, sigma: Sequence[int], cap: int = DEFAULT_CAP
 ) -> LatticeExtension:
-    """All downsets of P sorted by revlex_less for sigma."""
+    """All downsets of P in the order revlex_less gives for sigma."""
     _require_extension(P, sigma)
-    order = sorted(all_downsets(P, cap), key=_relabel(P.n, sigma))
+    order = [D for _, D in _antichains(P, cap, sigma)]
     return _extension(order, _as_tuples(order))
 
 
@@ -86,15 +87,17 @@ def reversal_distance(L1: LatticeExtension, L2: LatticeExtension) -> int:
 
 
 def _revlex_pair(P: Poset, cap: int, r: Realizer2D) -> tuple:
-    """The downset masks in the orders L_sigma and L_sigma_bar of r, from
-    one listing.  The antichain count, which is the downset count, is
+    """The downset masks in the orders L_sigma and L_sigma_bar of r, one
+    walk each.  The antichain count, which is the downset count, is
     checked against cap before any enumeration."""
-    _require_extension(P, r.sigma_bar)  # count_antichains checks sigma
-    if count_antichains(P, r.sigma).total > cap:
+    _require_extension(P, r.sigma_bar)
+    eng = _Engine(P, r.sigma)  # checks sigma; sbar[p]: the conjugate rank of x_p
+    if [e for _, e in sorted(zip(eng.sbar, r.sigma))] != list(r.sigma_bar):
+        raise ValueError("sigma_bar is not the conjugate of sigma")
+    if 1 + sum(eng.ends) > cap:
         raise CapExceeded(f"more than {cap} downsets")
-    masks = all_downsets(P, cap)
-    return (sorted(masks, key=_relabel(P.n, r.sigma)),
-            sorted(masks, key=_relabel(P.n, r.sigma_bar)))
+    return ([D for _, D in _antichains(P, cap, r.sigma)],
+            [D for _, D in _antichains(P, cap, r.sigma_bar)])
 
 
 def diametral_pair(P: Poset, cap: int = DEFAULT_CAP,
@@ -102,7 +105,8 @@ def diametral_pair(P: Poset, cap: int = DEFAULT_CAP,
     """The pair (L_sigma, L_sigma_bar) for the realizer r (by default
     realizer(P)); its reversal distance is the diameter of the linear
     extension graph of the downset lattice.  More than cap downsets raise
-    CapExceeded before any is listed."""
+    CapExceeded before any is listed; an r that is not a realizer of P
+    raises NotALinearExtension, SeparatingExtension or ValueError."""
     o1, o2 = _revlex_pair(P, cap, realizer(P) if r is None else r)
     tuples = _as_tuples(o1)
     return _extension(o1, tuples), _extension(o2, tuples)

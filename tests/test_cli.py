@@ -297,21 +297,29 @@ def test_wide_middle_layer_exits_three_within_memory(tmp_path):
         assert "cap exceeded" in done.stderr
 
 
-def test_diametral_enumerates_downsets_once(tmp_path, capsys, monkeypatch):
-    calls = []
-    monkeypatch.setattr(importlib.import_module("posetkit.revlex"), "all_downsets",
-                        lambda P, cap: calls.append(P) or pk.all_downsets(P, cap))
-    path = _poset_file(tmp_path, random_two_dim(9, random.Random(4)))
+def test_diametral_walks_the_downsets_once_per_order(tmp_path, capsys, monkeypatch):
+    revlex = importlib.import_module("posetkit.revlex")
+    walk, calls = revlex._antichains, []
+    monkeypatch.setattr(revlex, "_antichains",
+                        lambda P, cap, order: calls.append(tuple(order)) or walk(P, cap, order))
+    P = random_two_dim(9, random.Random(4))
+    r = pk.realizer(P)
+    path = _poset_file(tmp_path, P)
     code, out, err = _run(capsys, ["diametral", path])
     assert code == 0
-    assert len(calls) == 1
+    assert calls == [r.sigma, r.sigma_bar]
+    result = _payload(out)["result"]
+    for key, sigma in (("extension_1", r.sigma), ("extension_2", r.sigma_bar)):
+        want = pk.build_revlex_extension(P, sigma).order
+        assert [tuple(d) for d in result[key]] == list(want)
+    calls.clear()
     # more downsets than the cap: refused before any enumeration
     path = _poset_file(tmp_path, pk.antichain_poset(30))
     code, out, err = _run(capsys, ["diametral", path])
     assert code == 3
     assert out == ""
     assert f"more than {pk.DEFAULT_CAP} downsets" in err
-    assert len(calls) == 1
+    assert calls == []
 
 
 def test_oracle_classes(tmp_path, capsys):

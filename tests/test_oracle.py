@@ -1,5 +1,6 @@
 """Tests for the brute-force reference machinery."""
 
+import importlib
 import random
 
 import pytest
@@ -251,4 +252,11 @@ def test_is_diametrally_reversing_vacuous_on_chain():
 
 
 def test_is_diametrally_reversing_chevron_runs():
-    assert isinstance(pk.is_diametrally_reversing(pk.chevron()), bool)
+    assert pk.is_diametrally_reversing(pk.chevron()) is True
+
+
+def test_is_diametrally_reversing_false_without_critical_pairs(monkeypatch):
+    # no critical pair to reverse: an extension of a diametral pair fails
+    monkeypatch.setattr(importlib.import_module("posetkit.oracle"), "critical_pairs",
+                        lambda P: [])
+    assert pk.is_diametrally_reversing(pk.antichain_poset(2)) is False

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import posetkit as pk
-from posetkit.poset import _bits, _downset_covers, _mask_of, is_antichain
+from posetkit.poset import _antichains, _bits, _downset_covers, _mask_of, is_antichain
 
 from conftest import all_posets_upto_iso, brute_antichains, random_two_dim
 
@@ -203,12 +203,33 @@ def test_enumerate_antichains_on_wide_and_deep_posets():
     for cap in (1 << 10, pk.DEFAULT_CAP):
         with pytest.raises(pk.CapExceeded):
             pk.enumerate_antichains(pk.antichain_poset(1100), cap=cap)
-    # one bottom and one top around 1100 incomparable elements: the walk
-    # goes 1100 members deep before it reaches the cap
+    # one bottom and one top around 1100 incomparable elements: the width
+    # check passes and the walk itself stops at the cap
     n = 1102
     P = pk.poset_from_relations(n, [(1, j) for j in range(2, n)] + [(j, n) for j in range(2, n)])
     with pytest.raises(pk.CapExceeded):
         pk.enumerate_antichains(P, cap=2000)
+
+
+def test_antichain_walk_in_any_order_lists_each_antichain_once():
+    # the colex walk needs no linear extension to be complete
+    rng = random.Random(29)
+    posets = all_posets_upto_iso(4) + [pk.chevron()]
+    posets += [random_two_dim(rng.randint(5, 9), rng) for _ in range(20)]
+    tried = 0
+    for P in posets:
+        want = sorted(_mask_of(P.n, A) for A in brute_antichains(P))
+        order = list(P.elements())
+        rng.shuffle(order)
+        if any(P.less(b, a) for a, b in itertools.combinations(order, 2)):
+            tried += 1
+        walk = list(_antichains(P, len(want), order))
+        assert sorted(A for A, _ in walk) == want
+        for A, D in walk:
+            assert D == _mask_of(P.n, pk.downset_of(P, [j + 1 for j in _bits(A)]))
+        with pytest.raises(pk.CapExceeded):
+            list(_antichains(P, len(want) - 1, order))
+    assert tried > 20
 
 
 def test_antichain_count_matches_subset_filter():
@@ -254,6 +275,10 @@ def test_downset_lattice_of_antichain_is_boolean():
 def test_downset_lattice_cap():
     with pytest.raises(pk.CapExceeded):
         pk.downset_lattice(pk.antichain_poset(10), cap=100)
+    # 2048 downsets fit under the default cap, their 4.2 M pairs do not
+    with pytest.raises(pk.CapExceeded, match="downset pairs"):
+        pk.downset_lattice(pk.antichain_poset(11))
+    assert pk.downset_lattice(pk.antichain_poset(10)).lattice.n == 1024
 
 
 def test_cover_pairs():

@@ -5,10 +5,13 @@ import importlib
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
 import posetkit as pk
+from posetkit.poset import _bits
+from posetkit.revlex import _revlex_pair
 
 from conftest import (
     all_posets_upto_iso,
@@ -194,7 +197,7 @@ def test_diametral_pair_matches_brute_diameter():
         assert pk.reversal_distance(L1, L2) == diam
 
 
-def test_diametral_pair_sorts_one_downset_list_for_both_orders(monkeypatch):
+def test_diametral_pair_walks_once_per_order(monkeypatch):
     rng = random.Random(12)
     posets = [pk.antichain_poset(4), pk.chain_union([3, 2])]
     posets += [random_two_dim(n, rng) for n in range(1, 10)]
@@ -203,19 +206,47 @@ def test_diametral_pair_sorts_one_downset_list_for_both_orders(monkeypatch):
         r = pk.realizer(P)
         expected.append((pk.build_revlex_extension(P, r.sigma),
                          pk.build_revlex_extension(P, r.sigma_bar)))
-    calls = []
-    monkeypatch.setattr(importlib.import_module("posetkit.revlex"), "all_downsets",
-                        lambda P, cap: calls.append(P) or pk.all_downsets(P, cap))
+    revlex = importlib.import_module("posetkit.revlex")
+    walk, calls = revlex._antichains, []
+    monkeypatch.setattr(revlex, "_antichains",
+                        lambda P, cap, order: calls.append(tuple(order)) or walk(P, cap, order))
     for P, pair in zip(posets, expected):
-        assert pk.diametral_pair(P) == pair
-        assert pk.diametral_pair(P, r=pk.realizer(P)) == pair
-    assert len(calls) == 2 * len(posets)
+        r = pk.realizer(P)
+        for given in (None, r):
+            assert pk.diametral_pair(P, r=given) == pair
+            assert calls == [r.sigma, r.sigma_bar]
+            calls.clear()
+
+
+def _linear_extensions(P, placed=0, prefix=()):
+    """Every linear extension of P, lazily, smallest available element first."""
+    if len(prefix) == P.n:
+        yield prefix
+    for i in range(P.n):
+        if not placed >> i & 1 and not P.down_masks[i] & ~placed:
+            yield from _linear_extensions(P, placed | 1 << i, prefix + (i + 1,))
+
+
+def _comparator_sort(sigma, downsets):
+    before = functools.cmp_to_key(lambda S, T: -1 if pk.revlex_less(sigma, S, T) else 1)
+    return tuple(sorted(downsets, key=before))
 
 
 def test_revlex_orders_equal_a_comparator_sort():
-    # the byte-table sort key against revlex_less itself, at sizes on and
-    # around the byte edges of the element masks
+    # the walk's colex order of maxima against revlex_less itself, for
+    # every linear extension (up to 200 a poset), separating ones included
     rng = random.Random(41)
+    posets = [P for n in range(6) for P in all_posets_upto_iso(n)] + [pk.chevron()]
+    posets += [random_two_dim(n, rng) for n in range(6, 10) for _ in range(5)]
+    pairs = 0
+    for P in posets:
+        downsets = [tuple(j + 1 for j in _bits(m)) for m in pk.all_downsets(P)]
+        rng.shuffle(downsets)
+        for sigma in itertools.islice(_linear_extensions(P), 200):
+            assert pk.build_revlex_extension(P, sigma).order == _comparator_sort(sigma, downsets)
+            pairs += 1
+    assert pairs > 3000
+    # both orders of diametral_pair, also on wider orders
     posets = [random_two_dim(n, rng) for n in (0, 1, 7, 8, 9, 16, 17)]
     posets.append(pk.antichain_poset(11))
     for P in posets:
@@ -224,11 +255,35 @@ def test_revlex_orders_equal_a_comparator_sort():
         downsets = list(L1.order)
         rng.shuffle(downsets)
         for sigma, L in ((r.sigma, L1), (r.sigma_bar, L2)):
-            before = functools.cmp_to_key(
-                lambda S, T: -1 if pk.revlex_less(sigma, S, T) else 1)
-            want = tuple(sorted(downsets, key=before))
-            assert L.order == want
-            assert pk.build_revlex_extension(P, sigma).order == want
+            assert L.order == _comparator_sort(sigma, downsets)
+
+
+def _closed_chain(n):
+    """chain(n) with its rows written down: the constructor's closure
+    check takes one step per relation, about 8.4 M of them at n = 4096."""
+    P = pk.Poset.__new__(pk.Poset)
+    full = (1 << n) - 1
+    P.n, P._inc = n, (0,) * n
+    P._up = tuple(full ^ ((2 << i) - 1) for i in range(n))
+    P._down = tuple((1 << i) - 1 for i in range(n))
+    return P
+
+
+def test_diametral_pair_stays_small_on_a_long_chain():
+    Q, C = _closed_chain(9), pk.chain(9)
+    assert (Q.up_masks, Q.down_masks, Q.inc_masks) == (C.up_masks, C.down_masks, C.inc_masks)
+    # 4097 downsets of 4096 bits: each order is one walk and no table, so
+    # the peak is the two listings and the engine, not per-byte tables
+    P = _closed_chain(4096)
+    r = pk.Realizer2D(tuple(P.elements()), tuple(P.elements()))
+    tracemalloc.start()
+    try:
+        o1, o2 = _revlex_pair(P, pk.DEFAULT_CAP, r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert o1 == [(1 << k) - 1 for k in range(4097)] == o2
+    assert peak < 16 << 20
 
 
 def test_diametral_pair_shares_one_tuple_per_downset():
@@ -265,7 +320,7 @@ def test_records_are_read_only_tuples():
 
 def test_diametral_pair_checks_the_lattice_size_first(monkeypatch):
     revlex = importlib.import_module("posetkit.revlex")
-    monkeypatch.setattr(revlex, "all_downsets", None)
+    monkeypatch.setattr(revlex, "_antichains", None)
     with pytest.raises(pk.CapExceeded):
         pk.diametral_pair(pk.antichain_poset(5), cap=31)
     with pytest.raises(pk.CapExceeded):
@@ -280,6 +335,17 @@ def test_diametral_pair_rejects_orders_that_do_not_extend_the_poset():
         pk.diametral_pair(P, r=pk.Realizer2D((1, 2, 3), (3, 2, 1)))
     with pytest.raises(pk.NotALinearExtension):
         pk.diametral_pair(P, r=pk.Realizer2D((2, 1, 3), (1, 2, 3)))
+
+
+def test_diametral_pair_rejects_a_sigma_bar_that_is_not_the_conjugate():
+    P = pk.chain_union([2, 1])
+    assert pk.realizer(P) == pk.Realizer2D((1, 2, 3), (3, 1, 2))
+    # both orders extend P, but their intersection also orders 3 after 1
+    for sigma_bar in ((1, 2, 3), (1, 3, 2)):
+        with pytest.raises(ValueError, match="not the conjugate"):
+            pk.diametral_pair(P, r=pk.Realizer2D((1, 2, 3), sigma_bar))
+    L1, L2 = pk.diametral_pair(P, r=pk.Realizer2D((1, 2, 3), (3, 1, 2)))
+    assert pk.reversal_distance(L1, L2) == pk.led_downset(P).led == 3
 
 
 def test_diametral_pair_rejects_chevron():
