@@ -91,76 +91,7 @@ from .oracle import (
 )
 from .svg import dominance_svg
 
-__all__ = [
-    "AntichainCountTable",
-    "CapExceeded",
-    "ContractViolation",
-    "CriticalPair",
-    "CycleDetected",
-    "DEFAULT_CAP",
-    "DownsetLattice",
-    "EqualSets",
-    "EquivalenceClass",
-    "IndexOutOfRange",
-    "LatticeExtension",
-    "LedBreakdown",
-    "MismatchedGroundSets",
-    "NotADownset",
-    "NotALinearExtension",
-    "NotAnAntichain",
-    "NotTwoDimensional",
-    "Poset",
-    "PosetFormatError",
-    "PosetkitError",
-    "Realizer2D",
-    "SeparatingExtension",
-    "SizeVector",
-    "all_downsets",
-    "all_linear_extensions",
-    "antichain_poset",
-    "brute_led_downset",
-    "build_revlex_extension",
-    "chain",
-    "chain_union",
-    "chevron",
-    "class_reversals",
-    "components",
-    "count_antichains",
-    "cover_pairs",
-    "critical_pairs",
-    "delta1",
-    "delta2",
-    "diametral_pair",
-    "dominance_coordinates",
-    "dominance_svg",
-    "downset_lattice",
-    "downset_of",
-    "enumerate_antichains",
-    "enumerate_classes",
-    "format_poset",
-    "gamma",
-    "incomparable_pairs",
-    "induced",
-    "is_diametrally_reversing",
-    "is_linear_extension",
-    "is_non_separating",
-    "is_two_dimensional",
-    "kleitman_families",
-    "le_graph_diameter",
-    "led_boolean",
-    "led_chain_union",
-    "led_downset",
-    "led_upper_bound",
-    "load_poset",
-    "max_of",
-    "maxima_of_downset",
-    "min_of",
-    "parse_poset",
-    "poset_from_relations",
-    "realizer",
-    "restricted_subposets",
-    "reversal_distance",
-    "revlex_less",
-    "size_vectors",
-    "transitive_orientation",
-]
+# every public name the imports above bind; the submodules drop out, except
+# realizer, which the import rebinds to the function of that name
+__all__ = sorted(k for k, v in globals().items()
+                 if not k.startswith("_") and type(v) is not type(errors))

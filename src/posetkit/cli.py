@@ -44,28 +44,34 @@ def _build_parser() -> _Parser:
 
     s = sub.add_parser("led-bool", help="formula value for the subset lattice")
     s.add_argument("n", type=int)
+    s.set_defaults(run=_run_led_bool)
 
     s = sub.add_parser("led-downset", help="polynomial diameter of the downset lattice")
     s.add_argument("file")
     s.add_argument("--breakdown", action="store_true")
     s.add_argument("--upper-bound-only", action="store_true")
+    s.set_defaults(run=_run_led_downset)
 
     s = sub.add_parser("diametral", help="construct a diametral extension pair")
     s.add_argument("file")
     s.add_argument("--svg")
     s.add_argument("--scale", type=int, default=24)
     s.add_argument("--max-lattice", type=int, default=DEFAULT_CAP)
+    s.set_defaults(run=_run_diametral)
 
     s = sub.add_parser("oracle", help="brute-force checks")
     s.add_argument("file")
     s.add_argument("mode", choices=("diameter", "classes", "critical"))
     s.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    s.set_defaults(run=_run_oracle)
 
     s = sub.add_parser("count-antichains", help="antichain count by the DP")
     s.add_argument("file")
+    s.set_defaults(run=_run_count_antichains)
 
     s = sub.add_parser("led-chains", help="closed form for unions of chains")
     s.add_argument("lengths")
+    s.set_defaults(run=_run_led_chains)
     return p
 
 
@@ -102,6 +108,16 @@ def _dumps(value, pad: str = "\n") -> str:
     return repr(value) if type(value) is int else json.dumps(value)
 
 
+def _dec(v: int) -> str:
+    """v in decimal, however many digits it has: str(v) refuses more than
+    sys.get_int_max_str_digits(), and Decimal(v) converts without a limit."""
+    try:
+        return str(v)
+    except ValueError:
+        from decimal import Decimal
+        return str(Decimal(v))
+
+
 def _load(path: str) -> tuple:
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -111,15 +127,15 @@ def _load(path: str) -> tuple:
 def _run_led_bool(args) -> tuple:
     if not 1 <= args.n <= 10 ** 4:
         raise ValueError("n must lie in 1..10000")
-    return str(args.n), {"led": str(led_boolean(args.n))}
+    return str(args.n), {"led": _dec(led_boolean(args.n))}
 
 
 def _run_led_downset(args) -> tuple:
     text, P = _load(args.file)
     if args.upper_bound_only:
-        return text, {"upper_bound": str(led_upper_bound(P))}
+        return text, {"upper_bound": _dec(led_upper_bound(P))}
     sums = _led_sums(P, realizer(P).sigma)[0]
-    result = dict(zip(("alpha", "beta", "gamma", "delta", "led"), map(str, sums)))
+    result = dict(zip(("alpha", "beta", "gamma", "delta", "led"), map(_dec, sums)))
     return text, result if args.breakdown else {"led": result["led"]}
 
 
@@ -160,7 +176,7 @@ def _run_diametral(args) -> tuple:
     result = {
         "sigma": list(r.sigma),
         "sigma_bar": list(r.sigma_bar),
-        "distance": str(_inversions(ys)),
+        "distance": _dec(_inversions(ys)),
         "extension_1": _Json(_enclose("[]", list(texts.values()), "\n")),
         "extension_2": _Json(_enclose("[]", [texts[m] for m in o2], "\n")),
     }
@@ -180,7 +196,7 @@ def _run_oracle(args) -> tuple:
     if args.mode == "diameter":
         diam, pairs = le_graph_diameter(P, args.cap)
         result = {
-            "diameter": str(diam),
+            "diameter": _dec(diam),
             "diametral_pairs": [[list(a), list(b)] for a, b in pairs],
         }
     elif args.mode == "classes":
@@ -191,7 +207,7 @@ def _run_oracle(args) -> tuple:
                     "D": list(c.D),
                     "I": list(c.I),
                     "components": [list(k) for k in c.components],
-                    "size": str(len(c.pairs)),
+                    "size": _dec(len(c.pairs)),
                 }
                 for c in classes
             ]
@@ -206,8 +222,8 @@ def _run_count_antichains(args) -> tuple:
     sigma = realizer(P).sigma
     table = count_table(P, sigma)
     return text, {
-        "total": str(table.total),
-        "per_element": {str(e): str(v) for e, v in sorted(table.per_element.items())},
+        "total": _dec(table.total),
+        "per_element": {str(e): _dec(v) for e, v in sorted(table.per_element.items())},
     }
 
 
@@ -216,19 +232,7 @@ def _run_led_chains(args) -> tuple:
         lengths = [int(tok) for tok in args.lengths.split(",")]
     except ValueError:
         raise ValueError(f"bad length list {args.lengths!r}")
-    if not lengths or any(l < 1 for l in lengths):
-        raise ValueError("lengths must be positive integers")
-    return args.lengths, {"led": str(led_chain_union(lengths))}
-
-
-_RUNNERS = {
-    "led-bool": _run_led_bool,
-    "led-downset": _run_led_downset,
-    "diametral": _run_diametral,
-    "oracle": _run_oracle,
-    "count-antichains": _run_count_antichains,
-    "led-chains": _run_led_chains,
-}
+    return args.lengths, {"led": _dec(led_chain_union(lengths))}
 
 
 def main(argv=None) -> int:
@@ -236,7 +240,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     started = time.monotonic()
     try:
-        source, result = _RUNNERS[args.command](args)
+        source, result = args.run(args)
     except NotTwoDimensional as exc:
         print(f"posetkit: not two-dimensional: {exc}", file=sys.stderr)
         return 2

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import decimal
 import hashlib
 import importlib
 import json
@@ -56,6 +57,24 @@ def test_led_bool_out_of_range(capsys):
     assert code == 1
     assert out == ""
     assert "1..10000" in err
+
+
+def test_led_bool_prints_every_digit(capsys):
+    # led_boolean(10000) has 6020 digits, more than str(int) writes by default
+    code, out, err = _run(capsys, ["led-bool", "10000"])
+    assert code == 0, err
+    led = _payload(out)["result"]["led"]
+    assert len(led) == 6020 and decimal.Decimal(led) == pk.led_boolean(10000)
+
+
+def test_led_bool_under_a_low_digit_limit():
+    src = str(Path(pk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="640")
+    done = subprocess.run([sys.executable, "-m", "posetkit.cli", "led-bool", "1200"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    led = json.loads(done.stdout)["result"]["led"]
+    assert len(led) == 722 and decimal.Decimal(led) == pk.led_boolean(1200)
 
 
 def test_led_bool_non_integer_argument(capsys):
@@ -125,6 +144,15 @@ def test_led_downset_missing_file(tmp_path, capsys):
     code, out, err = _run(capsys, ["led-downset", str(tmp_path / "absent")])
     assert code == 1
     assert out == ""
+
+
+def test_led_downset_cyclic_file_exits_one(tmp_path, capsys):
+    path = tmp_path / "cycle.poset"
+    path.write_text("poset 3\n1 < 2\n2 < 3\n3 < 1\n", encoding="utf-8")
+    code, out, err = _run(capsys, ["led-downset", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err == "posetkit: relations contain a cycle\n"
 
 
 def test_led_downset_malformed_file(tmp_path, capsys):
@@ -370,13 +398,21 @@ def test_led_chains(capsys):
     code, out, err = _run(capsys, ["led-chains", "2,1"])
     assert code == 0
     assert _payload(out)["result"] == {"led": "3"}
+    # 15000 one-point chains: 9031 digits, all printed
+    code, out, err = _run(capsys, ["led-chains", ",".join(["1"] * 15000)])
+    assert code == 0, err
+    led = _payload(out)["result"]["led"]
+    assert decimal.Decimal(led) == pk.led_chain_union([1] * 15000)
 
 
 def test_led_chains_bad_lists(capsys):
-    for arg in ("2,x", "2,0", ""):
+    for arg, message in (("2,x", "bad length list '2,x'"),
+                         ("2,0", "chain lengths must be at least 1"),
+                         ("", "bad length list ''")):
         code, out, err = _run(capsys, ["led-chains", arg])
         assert code == 1
         assert out == ""
+        assert err == f"posetkit: {message}\n"
 
 
 # ---------------------------------------------------------------------------

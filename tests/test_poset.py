@@ -1,5 +1,8 @@
+import importlib
 import itertools
 import random
+import re
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,28 +60,38 @@ def test_from_relations_takes_closure():
     assert 0 < cycles < len(cases)
 
 
+def _exactly(message):
+    return "^" + re.escape(message) + "$"
+
+
 def test_rejects_cycles_and_bad_ids():
-    with pytest.raises(pk.CycleDetected):
+    with pytest.raises(pk.CycleDetected, match=_exactly("relations contain a cycle")):
         pk.poset_from_relations(2, [(1, 2), (2, 1)])
-    with pytest.raises(pk.CycleDetected):
+    with pytest.raises(pk.CycleDetected, match=_exactly("1 < 1 is not irreflexive")):
         pk.poset_from_relations(1, [(1, 1)])
-    with pytest.raises(pk.IndexOutOfRange):
+    with pytest.raises(pk.IndexOutOfRange, match=_exactly("element 3 not in 1..2")):
         pk.poset_from_relations(2, [(1, 3)])
-    with pytest.raises(pk.IndexOutOfRange):
+    with pytest.raises(pk.IndexOutOfRange, match=_exactly("element 0 not in 1..2")):
         pk.poset_from_relations(2, [(0, 1)])
 
 
-@pytest.mark.parametrize("build, error", [
-    (lambda: pk.Poset(-1, []), pk.IndexOutOfRange),
-    (lambda: pk.Poset(2, [0]), pk.IndexOutOfRange),             # wrong length
-    (lambda: pk.Poset(2, [0b100, 0]), pk.IndexOutOfRange),      # bit beyond n
-    (lambda: pk.Poset(2, [0b01, 0]), pk.CycleDetected),         # 1 < 1
-    (lambda: pk.Poset(2, [0b10, 0b01]), pk.CycleDetected),      # 1 < 2 < 1
-    (lambda: pk.Poset(3, [0b010, 0b100, 0]), ValueError),       # 1 < 2 < 3, not 1 < 3
-    (lambda: pk.poset_from_relations(-1, []), pk.IndexOutOfRange),
-])
+_GUARDS = [
+    (lambda: pk.Poset(-1, []), pk.IndexOutOfRange, "negative size -1"),
+    (lambda: pk.Poset(2, [0]), pk.IndexOutOfRange, "relation size does not match n"),
+    (lambda: pk.Poset(2, [0b100, 0]), pk.IndexOutOfRange, "relation mentions element beyond n"),
+    (lambda: pk.Poset(2, [0b01, 0]), pk.CycleDetected, "element 1 is below itself"),
+    (lambda: pk.Poset(2, [0b10, 0b01]), pk.CycleDetected, "1 and 2 are below each other"),
+    (lambda: pk.Poset(3, [0b010, 0b100, 0]), ValueError, "relation is not transitively closed"),
+    (lambda: pk.poset_from_relations(-1, []), pk.IndexOutOfRange, "negative size -1"),
+    (lambda: pk.poset_from_relations(5000, []), pk.CapExceeded, "5000 elements, more than 4096"),
+]
+
+
+# the message is looked up, not passed, so the test ids stay <lambda>-<error>
+@pytest.mark.parametrize("build, error", [case[:2] for case in _GUARDS])
 def test_poset_guards(build, error):
-    with pytest.raises(error):
+    message = next(m for b, _, m in _GUARDS if b is build)
+    with pytest.raises(error, match=_exactly(message)):
         build()
 
 
@@ -364,3 +377,20 @@ def test_downset_of_inverse_property(n, data):
     subset = data.draw(st.sets(st.integers(1, n), max_size=n)) if n else set()
     if is_antichain(P, subset):
         assert pk.maxima_of_downset(P, pk.downset_of(P, subset)) == tuple(sorted(subset))
+
+
+def test_all_is_the_public_names_the_package_imports():
+    star = {}
+    exec("from posetkit import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == pk.__all__
+    assert pk.__all__ == sorted(set(pk.__all__))
+    assert "realizer" in pk.__all__ and "cli" not in pk.__all__
+    homes = [importlib.import_module("posetkit." + m)
+             for m in ("errors", "poset", "realizer", "revlex", "led", "oracle", "svg")]
+    for name in pk.__all__:
+        obj = getattr(pk, name)
+        assert not isinstance(obj, types.ModuleType), name
+        # defined in the package, not a typing or types name a submodule imports
+        assert getattr(obj, "__module__", "posetkit.").startswith("posetkit."), name
+        assert any(getattr(m, name, None) is obj for m in homes), name
