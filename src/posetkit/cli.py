@@ -22,7 +22,7 @@ from .oracle import (
     enumerate_classes,
     le_graph_diameter,
 )
-from .poset import DEFAULT_CAP, _downset_covers, parse_poset
+from .poset import DEFAULT_CAP, parse_poset
 from .realizer import realizer
 from .revlex import _inversions, _revlex_pair
 from .svg import _svg
@@ -75,10 +75,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _digest(data: str) -> str:
-    return hashlib.sha256(data.encode("utf-8")).hexdigest()
-
-
 class _Json(str):
     """JSON text laid out as _dumps lays out a top-level value."""
 
@@ -93,19 +89,16 @@ def _enclose(brackets: str, items: list, pad: str) -> str:
 
 
 def _dumps(value, pad: str = "\n") -> str:
-    """The text of json.dumps(value, sort_keys=True, indent=2) for dicts
-    with string keys, lists and scalars.  A _Json value is written as
-    given, indented to its depth: JSON escapes the newlines inside
+    """The text of json.dumps(value, sort_keys=True, indent=2), with each
+    _Json value that dicts with string keys lead to written as given.
+    Every value is indented to its depth: JSON escapes the newlines inside
     strings, so every newline in JSON text stands between tokens."""
-    if isinstance(value, _Json):
-        return value.replace("\n", pad)
-    inner = pad + "  "
     if isinstance(value, dict):
+        inner = pad + "  "
         items = [json.dumps(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
         return _enclose("{}", items, pad)
-    if isinstance(value, (list, tuple)):
-        return _enclose("[]", [_dumps(v, inner) for v in value], pad)
-    return repr(value) if type(value) is int else json.dumps(value)
+    text = value if isinstance(value, _Json) else json.dumps(value, sort_keys=True, indent=2)
+    return text.replace("\n", pad)
 
 
 def _dec(v: int) -> str:
@@ -167,23 +160,32 @@ def _bit_sums(values: list):
 def _run_diametral(args) -> tuple:
     text, P = _load(args.file)
     r = realizer(P)
-    o1, o2 = _revlex_pair(P, args.max_lattice, r)
-    at2 = {m: y for y, m in enumerate(o2, start=1)}
-    ys = [at2[m] for m in o1]  # L_sigma_bar position of each downset in L_sigma order
+    w1, w2 = _revlex_pair(P, args.max_lattice, r)
+    at2 = {D: y for y, (_, D) in enumerate(w2, start=1)}
+    ys = [at2[D] for _, D in w1]  # L_sigma_bar position of each downset in L_sigma order
     # each downset's member list as JSON text at depth one, rendered once
     members = _bit_sums([",\n    " + str(e) for e in P.elements()])
-    texts = {m: "[" + s[1:] + "\n  ]" if (s := members(m)) else "[]" for m in o1}
+    texts = {D: "[" + s[1:] + "\n  ]" if (s := members(D)) else "[]" for _, D in w1}
     result = {
         "sigma": list(r.sigma),
         "sigma_bar": list(r.sigma_bar),
         "distance": _dec(_inversions(ys)),
         "extension_1": _Json(_enclose("[]", list(texts.values()), "\n")),
-        "extension_2": _Json(_enclose("[]", [texts[m] for m in o2], "\n")),
+        "extension_2": _Json(_enclose("[]", [texts[D] for _, D in w2], "\n")),
     }
     if args.svg:
-        # render first: a bad --scale must not truncate an existing file
-        covers = _downset_covers(P, {m: i for i, m in enumerate(o1)})
-        covers.sort()
+        # render first: a bad --scale must not truncate an existing file.
+        # The lattice is distributive, so its covers are D - a below D for
+        # the maxima a the walk lists with D.  D - a comes first in L_sigma
+        # (revlex), so the covers above each downset come out sorted.
+        at, above = {}, [[] for _ in w1]
+        for i, (A, D) in enumerate(w1):
+            at[D] = i
+            while A:
+                a = A & -A
+                above[at[D ^ a]].append(i)
+                A ^= a
+        covers = [(j, i) for j, ups in enumerate(above) for i in ups]
         svg = _svg(list(enumerate(ys, start=1)), covers, args.scale)
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -253,7 +255,7 @@ def main(argv=None) -> int:
     report = {
         "command": args.command,
         "argv": argv,
-        "input_sha256": _digest(source),
+        "input_sha256": hashlib.sha256(source.encode("utf-8")).hexdigest(),
         "result": result,
         "version": __version__,
     }

@@ -217,7 +217,7 @@ def downset_of(P: Poset, A: Iterable[int]) -> tuple:
     """Downset generated by an antichain, as a sorted tuple."""
     mask = _mask_of(P.n, A)
     if any(P._up[j] & mask for j in _bits(mask)):
-        raise NotAnAntichain(f"{tuple(sorted(A))} contains a comparable pair")
+        raise NotAnAntichain(f"{tuple(j + 1 for j in _bits(mask))} contains a comparable pair")
     closed = mask
     for j in _bits(mask):
         closed |= P._down[j]
@@ -313,24 +313,6 @@ def cover_pairs(P: Poset) -> list:
     return out
 
 
-def _downset_covers(P: Poset, label: dict) -> list:
-    """Covering pairs (label[D], label[D + x]) of the downset lattice: the
-    lattice is distributive, so these are all of its covers, one for each
-    x outside D for which D + x is again a downset.  label maps every
-    downset of P, as a mask, to what the pairs hold."""
-    full, above = (1 << P.n) - 1, label.get
-    out = []
-    for mask, a in label.items():
-        rest = full & ~mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            b = above(mask | low)
-            if b is not None:
-                out.append((a, b))
-    return out
-
-
 def chain(n: int) -> Poset:
     return poset_from_relations(n, [(i, i + 1) for i in range(1, n)])
 
@@ -364,35 +346,36 @@ def parse_poset(text: str) -> Poset:
     """Parse the line-based poset format.
 
     Comment lines start with '#'.  The first significant line is
-    'poset <n>', every following line '<i> < <j>' with 1-based ids.
+    'poset <n>', every following line '<i> < <j>' with 1-based ids.  The
+    relation lines are read as poset_from_relations asks for them, so an
+    oversized n is refused before any of them is read.
     """
-    n = None
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if n is None:
-            if len(tokens) != 2 or tokens[0] != "poset":
-                raise PosetFormatError(f"line {lineno}: expected 'poset <n>'")
-            try:
-                n = int(tokens[1])
-            except ValueError:
-                raise PosetFormatError(f"line {lineno}: bad element count {tokens[1]!r}")
-            if n < 0:
-                raise PosetFormatError(f"line {lineno}: negative element count")
-            continue
+    lines = ((lineno, tokens) for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (tokens := raw.split()) and not tokens[0].startswith("#"))
+    lineno, tokens = next(lines, (0, None))
+    if tokens is None:
+        raise PosetFormatError("missing 'poset <n>' header")
+    if len(tokens) != 2 or tokens[0] != "poset":
+        raise PosetFormatError(f"line {lineno}: expected 'poset <n>'")
+    try:
+        n = int(tokens[1])
+    except ValueError:
+        raise PosetFormatError(f"line {lineno}: bad element count {tokens[1]!r}")
+    if n < 0:
+        raise PosetFormatError(f"line {lineno}: negative element count")
+    return poset_from_relations(n, _relations(lines))
+
+
+def _relations(lines):
+    """The pairs (i, j) of the numbered relation lines '<i> < <j>'."""
+    for lineno, tokens in lines:
         if len(tokens) != 3 or tokens[1] != "<":
             raise PosetFormatError(f"line {lineno}: expected '<i> < <j>'")
         try:
             a, b = int(tokens[0]), int(tokens[2])
         except ValueError:
             raise PosetFormatError(f"line {lineno}: non-integer element id")
-        pairs.append((a, b))
-    if n is None:
-        raise PosetFormatError("missing 'poset <n>' header")
-    return poset_from_relations(n, pairs)
+        yield a, b
 
 
 def format_poset(P: Poset) -> str:

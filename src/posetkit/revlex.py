@@ -35,13 +35,14 @@ class LatticeExtension(NamedTuple):
         return len(self.order)
 
 
-def _as_tuples(masks: list) -> dict:  # mask -> sorted tuple, once per downset
-    return {m: tuple(j + 1 for j in _bits(m)) for m in masks}
+def _as_tuples(walk: list) -> dict:  # mask -> sorted tuple, once per downset
+    return {D: tuple(j + 1 for j in _bits(D)) for _, D in walk}
 
 
-def _extension(order: list, tuples: dict) -> LatticeExtension:
-    """The LatticeExtension of a mask order, read through a mask -> tuple map."""
-    order = tuple(map(tuples.__getitem__, order))
+def _extension(walk: list, tuples: dict) -> LatticeExtension:
+    """The LatticeExtension of the downsets of an antichain walk's (A, D)
+    pairs, read through a mask -> tuple map."""
+    order = tuple(tuples[D] for _, D in walk)
     return LatticeExtension(order, {d: p for p, d in enumerate(order, start=1)})
 
 
@@ -50,8 +51,8 @@ def build_revlex_extension(
 ) -> LatticeExtension:
     """All downsets of P in the order revlex_less gives for sigma."""
     _require_extension(P, sigma)
-    order = [D for _, D in _antichains(P, cap, sigma)]
-    return _extension(order, _as_tuples(order))
+    walk = list(_antichains(P, cap, sigma))
+    return _extension(walk, _as_tuples(walk))
 
 
 def _common_ground(L1: LatticeExtension, L2: LatticeExtension) -> None:
@@ -87,8 +88,9 @@ def reversal_distance(L1: LatticeExtension, L2: LatticeExtension) -> int:
 
 
 def _revlex_pair(P: Poset, cap: int, r: Realizer2D) -> tuple:
-    """The downset masks in the orders L_sigma and L_sigma_bar of r, one
-    walk each.  The antichain count, which is the downset count, is
+    """The antichain walks of r.sigma and r.sigma_bar as lists of (A, D)
+    masks: the downsets D in the orders L_sigma and L_sigma_bar, each with
+    its maxima A.  The antichain count, which is the downset count, is
     checked against cap before any enumeration."""
     _require_extension(P, r.sigma_bar)
     eng = _Engine(P, r.sigma)  # checks sigma; sbar[p]: the conjugate rank of x_p
@@ -96,8 +98,7 @@ def _revlex_pair(P: Poset, cap: int, r: Realizer2D) -> tuple:
         raise ValueError("sigma_bar is not the conjugate of sigma")
     if 1 + sum(eng.ends) > cap:
         raise CapExceeded(f"more than {cap} downsets")
-    return ([D for _, D in _antichains(P, cap, r.sigma)],
-            [D for _, D in _antichains(P, cap, r.sigma_bar)])
+    return list(_antichains(P, cap, r.sigma)), list(_antichains(P, cap, r.sigma_bar))
 
 
 def diametral_pair(P: Poset, cap: int = DEFAULT_CAP,
@@ -107,9 +108,9 @@ def diametral_pair(P: Poset, cap: int = DEFAULT_CAP,
     extension graph of the downset lattice.  More than cap downsets raise
     CapExceeded before any is listed; an r that is not a realizer of P
     raises NotALinearExtension, SeparatingExtension or ValueError."""
-    o1, o2 = _revlex_pair(P, cap, realizer(P) if r is None else r)
-    tuples = _as_tuples(o1)
-    return _extension(o1, tuples), _extension(o2, tuples)
+    w1, w2 = _revlex_pair(P, cap, realizer(P) if r is None else r)
+    tuples = _as_tuples(w1)
+    return _extension(w1, tuples), _extension(w2, tuples)
 
 
 def dominance_coordinates(L1: LatticeExtension, L2: LatticeExtension) -> dict:

@@ -59,6 +59,7 @@ def reference_realizer(P):
                 a, b = b, a
             below[b - 1] |= 1 << (a - 1)
         order = sorted(P.elements(), key=lambda e: bin(below[e - 1]).count("1"))
-        assert [bin(below[e - 1]).count("1") for e in order] == list(range(P.n))
+        if [bin(below[e - 1]).count("1") for e in order] != list(range(P.n)):
+            raise ValueError("P plus the orientation is not a linear order")
         orders.append(tuple(order))
     return tuple(orders)

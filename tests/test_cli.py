@@ -290,6 +290,19 @@ def test_oversized_input_exits_three(tmp_path, capsys):
         assert "cap exceeded" in err
 
 
+def test_oversized_header_exits_three_before_the_relations(tmp_path, capsys):
+    # 12 MB of relation lines, or one malformed line, under a 5000 header:
+    # the header is refused before any relation line is read
+    big, bad = tmp_path / "big.poset", tmp_path / "bad.poset"
+    big.write_text("poset 5000\n" + "1 < 2\n" * 2_000_000, encoding="utf-8")
+    bad.write_text("poset 5000\n1 2 3\n", encoding="utf-8")
+    for path in (big, bad):
+        started = time.perf_counter()
+        code, out, err = _run(capsys, ["count-antichains", str(path)])
+        assert time.perf_counter() - started < 0.5
+        assert (code, out, err) == (3, "", "posetkit: cap exceeded: 5000 elements, more than 4096\n")
+
+
 def test_wide_antichain_exits_three(tmp_path, capsys):
     path = _poset_file(tmp_path, pk.antichain_poset(1100))
     for argv in (["led-downset", path, "--upper-bound-only"], ["oracle", path, "classes"]):

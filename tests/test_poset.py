@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import posetkit as pk
-from posetkit.poset import _antichains, _bits, _downset_covers, _mask_of, is_antichain
+from posetkit.poset import _antichains, _bits, _mask_of, is_antichain
 
-from conftest import all_posets_upto_iso, brute_antichains, random_two_dim
+from conftest import all_posets_upto_iso, brute_antichains, random_extension, random_two_dim
 
 
 def _reachability(n, pairs):
@@ -174,8 +174,9 @@ def test_downset_roundtrip_small_posets():
 
 def test_downset_errors():
     P = pk.chain(2)
-    with pytest.raises(pk.NotAnAntichain):
-        pk.downset_of(P, {1, 2})
+    for A in ({1, 2}, iter([2, 1])):
+        with pytest.raises(pk.NotAnAntichain, match=_exactly("(1, 2) contains a comparable pair")):
+            pk.downset_of(P, A)
     with pytest.raises(pk.NotADownset):
         pk.maxima_of_downset(P, {2})
 
@@ -301,8 +302,9 @@ def test_cover_pairs():
 
 
 def test_downset_covers_match_the_lattice_covers():
-    # the direct covers agree with the covers of the full inclusion order,
-    # also off two dimensions (the chevron)
+    # the pairs (D - a, D) for each maximum a the walk lists with D are the
+    # covers of the full inclusion order, also off two dimensions (the
+    # chevron); walked along a linear extension, D - a comes before D
     posets = [pk.chain(3), pk.antichain_poset(4), pk.chain_union([2, 3]), pk.chevron()]
     posets += [pk.chain_union([3, 1, 2]), pk.chain_union([4, 4])]
     posets += all_posets_upto_iso(4)
@@ -312,8 +314,12 @@ def test_downset_covers_match_the_lattice_covers():
         dl = pk.downset_lattice(P)
         want = sorted((dl.downsets[a - 1], dl.downsets[b - 1])
                       for a, b in pk.cover_pairs(dl.lattice))
-        label = {_mask_of(P.n, D): D for D in dl.downsets}
-        assert sorted(_downset_covers(P, label)) == want
+        walk = list(_antichains(P, pk.DEFAULT_CAP, random_extension(P, rng)))
+        at = {D: i for i, (_, D) in enumerate(walk)}
+        covers = [(D ^ 1 << a, D) for A, D in walk for a in _bits(A)]
+        assert all(at[C] < at[D] for C, D in covers)
+        tuples = {D: tuple(j + 1 for j in _bits(D)) for D in at}
+        assert sorted((tuples[C], tuples[D]) for C, D in covers) == want
 
 
 def test_chain_union_numbering():
@@ -351,6 +357,9 @@ def test_parse_errors():
 def test_oversized_header_is_refused_before_allocating():
     with pytest.raises(pk.CapExceeded):
         pk.parse_poset("poset 1000000000\n")
+    # refused at the header: the malformed relation line is never read
+    with pytest.raises(pk.CapExceeded, match=_exactly("5000 elements, more than 4096")):
+        pk.parse_poset("poset 5000\n1 2 3 4\n")
     with pytest.raises(pk.CapExceeded):
         pk.antichain_poset(pk.poset.MAX_ELEMENTS + 1)
     assert pk.antichain_poset(pk.poset.MAX_ELEMENTS).n == pk.poset.MAX_ELEMENTS

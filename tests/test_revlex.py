@@ -278,11 +278,11 @@ def test_diametral_pair_stays_small_on_a_long_chain():
     r = pk.Realizer2D(tuple(P.elements()), tuple(P.elements()))
     tracemalloc.start()
     try:
-        o1, o2 = _revlex_pair(P, pk.DEFAULT_CAP, r)
+        w1, w2 = _revlex_pair(P, pk.DEFAULT_CAP, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert o1 == [(1 << k) - 1 for k in range(4097)] == o2
+    assert [D for _, D in w1] == [(1 << k) - 1 for k in range(4097)] == [D for _, D in w2]
     assert peak < 16 << 20
 
 
