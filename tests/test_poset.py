@@ -2,6 +2,7 @@ import importlib
 import itertools
 import random
 import re
+import time
 import types
 
 import pytest
@@ -11,6 +12,7 @@ import posetkit as pk
 from posetkit.poset import _antichains, _bits, _mask_of, is_antichain
 
 from conftest import all_posets_upto_iso, brute_antichains, random_extension, random_two_dim
+from reference_poset import reference_check, reference_closure
 
 
 def _reachability(n, pairs):
@@ -93,6 +95,99 @@ def test_poset_guards(build, error):
     message = next(m for b, _, m in _GUARDS if b is build)
     with pytest.raises(error, match=_exactly(message)):
         build()
+
+
+def _outcome(build):
+    """What build returns, or the (class, message) of the error it raises."""
+    try:
+        return build()
+    except (ValueError, pk.PosetkitError) as exc:
+        return type(exc), str(exc)
+
+
+def _masks(P):
+    return P._up, P._down, P._inc
+
+
+def _reference_masks(n, up):
+    down = reference_check(n, up)
+    full = (1 << n) - 1
+    return tuple(up), tuple(down), tuple(full & ~(up[i] | down[i] | 1 << i) for i in range(n))
+
+
+def _check_against_reference(n, up):
+    """Poset(n, up) accepts exactly what the reference accepts, with the
+    same masks.  When the only faults are in a row (its range or a loop
+    on itself) the message is the reference's; a fault between rows may be
+    found at another pair, so its message must name a real fault.  Returns
+    whether up was rejected."""
+    want = _outcome(lambda: _reference_masks(n, up))
+    got = _outcome(lambda: _masks(pk.Poset(n, up)))
+    if not isinstance(want[0], type):
+        assert got == want
+    elif want[0] is pk.IndexOutOfRange or want[1].endswith("is below itself"):
+        assert got == want
+    elif got[0] is pk.CycleDetected:
+        a, b = map(int, re.fullmatch(r"(\d+) and (\d+) are below each other", got[1]).groups())
+        assert up[a - 1] >> (b - 1) & 1 and up[b - 1] >> (a - 1) & 1
+    else:
+        assert got == (ValueError, "relation is not transitively closed")
+        assert any(up[j] & ~up[i] for i in range(n) for j in _bits(up[i]))
+    return isinstance(want[0], type)
+
+
+def test_order_check_matches_the_reference_on_every_small_mask_tuple():
+    rejected = 0
+    for n in range(5):
+        for up in itertools.product(range(1 << n), repeat=n):
+            rejected += _check_against_reference(n, up)
+    # all but the labelled posets on 0..4 points: 1, 1, 3, 19 and 219 of them
+    assert rejected == sum(2 ** (n * n) for n in range(5)) - (1 + 1 + 3 + 19 + 219)
+
+
+def test_construction_matches_the_reference_on_random_input():
+    rng = random.Random(18)
+    flipped, cycles = 0, 0
+    for _ in range(1500):
+        n = rng.randint(1, 9)
+        # arcs along a hidden order, now and then one against it (a cycle
+        # if the order already has it), a loop or an odd id
+        labels = rng.sample(range(1, n + 1), n)
+        arcs = [sorted(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n) if n > 1 else 0)]
+        if arcs and rng.random() < 0.4:
+            arcs.insert(rng.randint(0, len(arcs)), rng.choice(arcs)[::-1])
+        pairs = [(labels[i], labels[j]) for i, j in arcs]
+        if rng.random() < 0.05:
+            odd = rng.choice([0, n + 1, True, 1.0, "1"])
+            pairs.insert(rng.randint(0, len(pairs)), rng.choice([(odd, 1), (1, odd), (n, n)]))
+        want = _outcome(lambda: reference_closure(n, pairs))
+        got = _outcome(lambda: pk.poset_from_relations(n, pairs))
+        if isinstance(want[0], type):
+            assert got == want
+            cycles += want == (pk.CycleDetected, "relations contain a cycle")
+            continue
+        assert _masks(got) == _reference_masks(n, want)
+        # the closure with one bit flipped: mostly not an order any more
+        i, j = rng.randrange(n), rng.randrange(n)
+        up = list(want)
+        up[i] ^= 1 << j
+        flipped += _check_against_reference(n, up)
+    assert 300 < flipped < 1500
+    assert 100 < cycles < 1000
+
+
+@pytest.mark.parametrize("ids", ["natural", "reversed", "shuffled", "chain"])
+def test_a_4096_element_chain_builds_in_under_two_seconds(ids):
+    labels = list(range(1, 4097))
+    if ids == "reversed":
+        labels.reverse()
+    elif ids == "shuffled":
+        random.Random(4096).shuffle(labels)
+    text = "poset 4096\n" + "".join(f"{a} < {b}\n" for a, b in zip(labels, labels[1:]))
+    started = time.perf_counter()
+    P = pk.chain(4096) if ids == "chain" else pk.parse_poset(text)
+    assert time.perf_counter() - started < 2.0
+    assert P.up_masks[labels[0] - 1] == (1 << 4096) - 1 ^ 1 << (labels[0] - 1)
 
 
 def test_poset_hash_agrees_with_equality():
