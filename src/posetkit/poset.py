@@ -21,8 +21,9 @@ from .errors import (
 DEFAULT_CAP = 1 << 20
 
 # Largest ground set accepted: the n-bit up, down and incomparable rows take
-# about 6 MB at 4096 (count_antichains: 2.5 s, 6.6 MB tracemalloc peak), and
-# building them from the 4095 covers of a chain takes about 0.1 s.
+# about 6 MB at 4096 (count_antichains: 2.5 s, 6.6 MB tracemalloc peak).
+# Building them costs O(log n) big-int steps per cover: 0.04-0.07 s for a
+# 4096-element chain under any labelling, about 0.3 s for a random 2D order.
 MAX_ELEMENTS = 4096
 
 
@@ -65,30 +66,48 @@ class Poset:
                 raise IndexOutOfRange("relation mentions element beyond n")
             if m >> i & 1:
                 raise CycleDetected(f"element {i + 1} is below itself")
-        # Rows in ascending order of |up|.  Row i checks a j picked from what
-        # is left of up[i].  Then up[j] lies inside up[i] without j, so it is
+        # Rows in ascending order of |up|.  Row i checks the element j of
+        # what is left of up[i] that comes last in that order, and drops j
+        # and up[j].  Then up[j] lies inside up[i] without j, so it is
         # smaller: row j was checked before, and all of up[j] passes row i's
-        # checks with j and is dropped.  Picking the lowest or the highest
-        # bit, whichever has the larger up set, keeps a chain at one pick per
-        # row under either labelling.
+        # checks with j.  Nothing left lies below j, so the j are the covers
+        # of i.  later[p] holds the elements from position p on; a galloping
+        # search over it finds each j in O(log n) steps, whatever the ids.
         size = [m.bit_count() for m in up]
-        picks = []
-        for i in sorted(range(n), key=size.__getitem__):
+        order = sorted(range(n), key=size.__getitem__)
+        later = [0] * (n + 1)
+        for p in range(n - 1, -1, -1):
+            later[p] = later[p + 1] | 1 << order[p]
+        covers = [0] * n
+        for p, i in enumerate(order):
             m = rest = up[i]
+            # later[hi] & rest stays 0; hi = n only for a row that must fail
+            hi = n if m & later[p] else p
             while rest:
-                j, h = (rest & -rest).bit_length() - 1, rest.bit_length() - 1
-                if size[h] > size[j]:
-                    j = h
+                lo, step = hi - 1, 1
+                while not later[lo] & rest:
+                    hi, step = lo, step * 2
+                    lo = max(hi - step, 0)
+                while hi - lo > 1:
+                    mid = (lo + hi) // 2
+                    if later[mid] & rest:
+                        lo = mid
+                    else:
+                        hi = mid
+                j = order[lo]
                 if up[j] >> i & 1:
                     raise CycleDetected(f"{i + 1} and {j + 1} are below each other")
                 if up[j] & ~m:
                     raise ValueError("relation is not transitively closed")
-                picks.append((i, j))
+                covers[i] |= 1 << j
                 rest &= ~(up[j] | 1 << j)
-        # in reverse, each row's down set is complete before its picks read it
+                hi = lo
+        # bottom up, each row's down set is complete before its covers read it
         down = [0] * n
-        for i, j in reversed(picks):
-            down[j] |= down[i] | 1 << i
+        for i in reversed(order):
+            below = down[i] | 1 << i
+            for j in _bits(covers[i]):
+                down[j] |= below
         self.n = n
         self._up = up
         self._down = tuple(down)
@@ -146,10 +165,8 @@ def poset_from_relations(n: int, pairs: Iterable[tuple]) -> Poset:
         raise CapExceeded(f"{n} elements, more than {MAX_ELEMENTS}")
     succ = [0] * n
     for a, b in pairs:
-        # plain ints in range skip the calls; the rest get their exact message
-        if type(a) is not int or type(b) is not int or not (0 < a <= n and 0 < b <= n):
-            _check_index(n, a)
-            _check_index(n, b)
+        _check_index(n, a)
+        _check_index(n, b)
         if a == b:
             raise CycleDetected(f"{a} < {a} is not irreflexive")
         succ[a - 1] |= 1 << (b - 1)

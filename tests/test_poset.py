@@ -3,6 +3,7 @@ import itertools
 import random
 import re
 import time
+import tracemalloc
 import types
 
 import pytest
@@ -176,18 +177,31 @@ def test_construction_matches_the_reference_on_random_input():
     assert 100 < cycles < 1000
 
 
-@pytest.mark.parametrize("ids", ["natural", "reversed", "shuffled", "chain"])
+@pytest.mark.parametrize("ids", ["natural", "reversed", "shuffled", "zigzag", "chain"])
 def test_a_4096_element_chain_builds_in_under_two_seconds(ids):
     labels = list(range(1, 4097))
     if ids == "reversed":
         labels.reverse()
     elif ids == "shuffled":
         random.Random(4096).shuffle(labels)
+    elif ids == "zigzag":
+        # top down 4096, 1, 4095, 2, ...: the lowest and the highest id
+        # left above an element are always the two topmost
+        labels = [e for k in range(1, 2049) for e in (4097 - k, k)][::-1]
     text = "poset 4096\n" + "".join(f"{a} < {b}\n" for a, b in zip(labels, labels[1:]))
     started = time.perf_counter()
     P = pk.chain(4096) if ids == "chain" else pk.parse_poset(text)
     assert time.perf_counter() - started < 2.0
     assert P.up_masks[labels[0] - 1] == (1 << 4096) - 1 ^ 1 << (labels[0] - 1)
+    # the check keeps a mask per row, not a record per step
+    tracemalloc.start()
+    try:
+        Q = pk.Poset(4096, P.up_masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert _masks(Q) == _masks(P)
+    assert peak < 16 << 20
 
 
 def test_poset_hash_agrees_with_equality():
