@@ -36,6 +36,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _cap(text: str) -> int:
+    if (cap := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text}")
+    return cap
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="posetkit")
     p.add_argument("--verbose", action="store_true",
@@ -56,13 +62,13 @@ def _build_parser() -> _Parser:
     s.add_argument("file")
     s.add_argument("--svg")
     s.add_argument("--scale", type=int, default=24)
-    s.add_argument("--max-lattice", type=int, default=DEFAULT_CAP)
+    s.add_argument("--max-lattice", type=_cap, default=DEFAULT_CAP)
     s.set_defaults(run=_run_diametral)
 
     s = sub.add_parser("oracle", help="brute-force checks")
     s.add_argument("file")
     s.add_argument("mode", choices=("diameter", "classes", "critical"))
-    s.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    s.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
     s.set_defaults(run=_run_oracle)
 
     s = sub.add_parser("count-antichains", help="antichain count by the DP")

@@ -80,20 +80,19 @@ class _Engine:
         sigma-last member (sigma-first when backward) is x_p, so a(mask) is
         1 + sum(vals); vals is 0 off mask.  Summing vals over a prefix
         (suffix when backward) of mask counts the antichains of that prefix
-        (suffix)."""
-        inc = self.inc
-        vals = [0] * self.n
-        rest = mask                # the positions not yet swept
-        while rest:
-            p = (rest if backward else rest & -rest).bit_length() - 1
-            rest ^= 1 << p
-            m = inc[p] & (mask ^ rest)
-            s = 1
-            while m:
-                low = m & -m
-                s += vals[low.bit_length() - 1]
-                m ^= low
-            vals[p] = s
+        (suffix).  The swept x_q || x_p are those ranked after x_p in
+        sigma_bar, before it when backward (fact 1 of tables): vals[p] is 1
+        plus the swept values kept by rank, summed over one slice that ends
+        at the last rank swept, so it is empty on a chain."""
+        n = self.n
+        vals = [0] * n
+        by_rank = [0] * n          # vals of the swept positions, by rank
+        top = 0                    # the swept ranks lie below top
+        for p in reversed(list(_bits(mask))) if backward else _bits(mask):
+            r = n - 1 - self.sbar[p] if backward else self.sbar[p]
+            vals[p] = by_rank[r] = 1 + sum(by_rank[r + 1:top])
+            if r >= top:
+                top = r + 1
         return vals
 
     def tables(self) -> tuple:
@@ -122,7 +121,8 @@ class _Engine:
            incomparable pairs) is a linear extension, as __init__ checks:
            x_p has rank sbar[p] = |down[p]| + |inc[p] after p| in it.  For p
            before q in sigma, x_p < x_q iff p comes first in sigma_bar, and
-           x_p || x_q iff p comes last.
+           x_p || x_q iff p comes last.  So the inner loops below test
+           membership by comparing two ranks.
         2. W = (l', k) & inc[k] & inc[k'] & down[l] loses its down[l]: an
            x_j sigma-between x_k' < x_l with x_j || x_k' is below x_l.  So
            a(W) does not depend on l, and for fixed (k', k) one backward
@@ -133,114 +133,107 @@ class _Engine:
         3. Likewise P_{i,k,l} = (i, k) & inc[i] & inc[k]: it is the part of
            S after x_i that is incomparable to x_i, so its count is
            starts[i], the value of fact 2's sweep at i (starts[k] = 1 for
-           the empty P_{k,k,l}).  Case B's walk for k' adds up that sweep
-           over S & inc[k'] from x_k down and would end at starts[k'], so
-           it stops at the lowest x_l' above x_k' and skips any k' with no
-           x_l' before x_k.  Every x_i and x_k' read lies in S below an x_l
-           above x_k, and a backward value depends only on later positions,
-           so the sweep starts at the lowest such position (none on two
-           chains).  The side count a(prefix(i) & inc[l]) is a prefix sum
-           of the forward sweep over all of P, `ends` (an antichain ending
-           in inc[l] before x_l lies there), one pass per l; the final
-           sum's a(inc[k] after l) is 1 plus the backward sweep over all of
-           P summed after l on the positions before k in sigma_bar (fact
-           1).  The two full sweeps also give gamma: ends[p] = a(inc[p]
-           before p) and the backward value a(inc[p] after p), no member of
-           the one set is comparable to a member of the other, so their
-           product counts the antichains through x_p.
+           the empty P_{k,k,l}).  An x_l' above x_k' before x_k lies in S,
+           so case B's walk for k' goes down S from x_k, adds up the sweep
+           on S & inc[k'] (ranked below sbar[k']) and stops at the lowest
+           x_l' above x_k', where that sum would reach starts[k'].  Every
+           x_i and x_k' read lies in S below an x_l above x_k, so it ranks
+           below the highest rank after k: the sweep starts at the lowest
+           (none on two chains), and delta1 reads x_k and the prefix of
+           them in rank order below sbar[l].  The side count a(prefix(i) &
+           inc[l]) is a prefix sum of the forward sweep over all of P,
+           `ends` (an antichain ending in inc[l] before x_l lies there), one
+           pass per l; the final sum's a(inc[k] after l) is 1 plus the
+           backward sweep over all of P summed after l on the positions
+           before k in sigma_bar (fact 1).  The two full sweeps also give
+           gamma: ends[p] = a(inc[p] before p) and the backward value
+           a(inc[p] after p), no member of the one set is comparable to a
+           member of the other, so their product counts the antichains
+           through x_p.
         4. Case B's filters x_l' || x_l and x_k' < x_l read, by fact 1,
            sbar(k') < sbar(l) < sbar(l'); so for fixed k each (k', l')
            term adds to one interval of sigma_bar ranks, and one
-           difference array gives case B for the whole row.  Rows are
-           filled in increasing k and, within a row, increasing l, so
-           every dd they read is final.  Only k' below some x_l above x_k
-           can contribute and are visited.
+           difference array gives case B for the whole row.  Case A's x_l'
+           are the filled entries of row k ranked above sbar[l], one slice.
+           Rows are filled in increasing k and, within a row, increasing l,
+           so every dd they read is final.
 
-        The sweep of fact 2 costs O(n^2) per k and nothing below where fact
-        3 starts it, case B's walk at most O(k - k') per pair, delta1
-        O(|inc[k]|) and case A O(|up[k]|) per (k, l): the tables take O(n^3)
-        big-integer additions and multiplications in all, and two n x n
-        tables of memory.
+        The sweep of fact 2 costs one slice per position and nothing below
+        where fact 3 starts it, case B's walk at most O(k - k') list steps
+        per pair, delta1 O(|inc[k]|) and case A one slice per (k, l): the
+        tables take O(n^3) big-integer additions and multiplications in
+        all, and two n x n tables of memory.
         """
         n = self.n
-        up, down, inc, sbar = self.up, self.down, self.inc, self.sbar
+        up, inc, sbar = self.up, self.inc, self.sbar
         ends = self.ends
         # left[l][i] = a(prefix(i) & inc[l]) for i < l
         left = []
         for l in range(n):
             row = []
             acc = 1
+            sl = sbar[l]
             for i in range(l):
                 row.append(acc)
-                if inc[l] >> i & 1:
+                if sbar[i] > sl:
                     acc += ends[i]
             left.append(row)
         d1 = [[0] * n for _ in range(n)]
         dd = [[0] * n for _ in range(n)]
         for k in range(n):
-            ups = up[k]
-            if not ups:
+            if not up[k]:
                 continue
             below_k = (1 << k) - 1
-            side = inc[k] & below_k
-            reach = 0
-            m = ups
-            while m:
-                low = m & -m
-                reach |= down[low.bit_length() - 1]
-                m ^= low
-            kps = side & reach
-            starts = self.sweep(side & -(kps & -kps), backward=True)
+            sk = sbar[k]
+            # the k' of fact 3, and the position the sweep starts at
+            hi = max(sbar[k + 1:])
+            kps = [q for q in range(k) if sk < sbar[q] < hi]
+            lo = kps[0] if kps else k
+            starts = self.sweep(inc[k] & below_k & -(1 << lo), backward=True)
             starts[k] = 1
+            # S above x_lo from x_k down, with each position's rank and count
+            walk = [(p, sbar[p], starts[p]) for p in range(k - 1, lo, -1) if sbar[p] > sk]
             diff = [0] * (n + 1)
-            while kps:
-                kbit = kps & -kps
-                kps ^= kbit
-                kp = kbit.bit_length() - 1
+            for kp in kps:
                 U = up[kp] & below_k
                 if not U:
                     continue
-                # below U's lowest bit the walk only adds to acc (fact 3)
-                inner = side & inc[kp] & -(U & -U)
-                row = dd[kp]
-                acc = 1
-                total = 0
-                m = inner | U
-                while m:
-                    p = m.bit_length() - 1
-                    bit = 1 << p
-                    m ^= bit
-                    if inner & bit:
-                        acc += starts[p]
+                # below U's lowest position the walk only adds to acc
+                low = (U & -U).bit_length() - 1
+                row, skp = dd[kp], sbar[kp]
+                acc, total = 1, 0
+                for p, r, st in walk:
+                    if p < low:
+                        break
+                    if r < skp:
+                        acc += st
                     else:
                         t = row[p] * acc
                         total += t
-                        diff[sbar[p]] -= t
-                diff[sbar[kp] + 1] += total
+                        diff[r] -= t
+                diff[skp + 1] += total
             case_b = list(accumulate(diff))
+            ranked = sorted([k, *kps], key=sbar.__getitem__)
             r1, rd = d1[k], dd[k]
-            firsts = side | 1 << k
-            ls = ups
-            while ls:
-                lbit = ls & -ls
-                ls ^= lbit
-                l = lbit.bit_length() - 1
+            by_rank = [0] * n      # rd[l'] at sbar[l'] for the l' filled so far,
+            top = 0                # whose ranks all lie below top
+            for l in range(k + 1, n):
+                sl = sbar[l]
+                if sl < sk:
+                    continue
                 lrow = left[l]
                 s1 = 0
-                m = firsts & down[l]
-                while m:
-                    low = m & -m
-                    i = low.bit_length() - 1
+                for i in ranked:
+                    if sbar[i] >= sl:
+                        break
                     s1 += starts[i] * lrow[i]
-                    m ^= low
-                s2 = case_b[sbar[l]]
-                m = ups & inc[l] & (lbit - 1)
-                while m:
-                    low = m & -m
-                    s2 += rd[low.bit_length() - 1]
-                    m ^= low
+                s2 = case_b[sl]
+                if sl + 1 < top:
+                    s2 += sum(by_rank[sl + 1:top])
                 r1[l] = s1
-                rd[l] = s1 + s2
+                rd[l] = by_rank[sl] = s1 + s2
+                if sl >= top:
+                    top = sl + 1
         return d1, dd
 
 

@@ -268,6 +268,20 @@ def test_oracle_cap_exits_three(tmp_path, capsys):
     assert "cap exceeded" in err
 
 
+def test_caps_below_one_are_usage_errors(tmp_path, capsys):
+    # a cap under 1 is refused as it is parsed (exit 1), not taken as a
+    # cap that every input exceeds (exit 3)
+    path = _poset_file(tmp_path, pk.antichain_poset(2))
+    for argv, flag, value in ((["diametral", path, "--max-lattice", "-5"], "--max-lattice", "-5"),
+                              (["oracle", path, "diameter", "--cap", "0"], "--cap", "0")):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert exc.value.code == 1
+        assert out == ""
+        assert err.endswith(f"error: argument {flag}: must be an integer >= 1, not {value}\n")
+
+
 def test_oracle_diameter_refuses_too_many_pairs_at_once(tmp_path, capsys):
     # 66272 extensions fit the default cap, but their 2.2e9 pairs do not:
     # the pair scan must be refused before it starts

@@ -187,6 +187,41 @@ def test_led_downset_runs_two_full_sweeps(monkeypatch):
     assert sorted(full_sweeps) == [False, True]
 
 
+def literal_sweep(eng, mask, backward):
+    """vals[p] = 1 + the vals[q] of the q in mask on the swept side of p
+    that lie in inc[p], read straight off the masks."""
+    order = [p for p in range(eng.n) if mask >> p & 1]
+    if backward:
+        order.reverse()
+    vals = [0] * eng.n
+    for j, p in enumerate(order):
+        vals[p] = 1 + sum(vals[q] for q in order[:j] if eng.inc[p] >> q & 1)
+    return vals
+
+
+def test_sweep_matches_the_literal_dp_on_submasks():
+    # the sweep sums slices of the ranks swept so far, which off the full
+    # mask have gaps: random submasks, the empty mask and single positions
+    rng = random.Random(37)
+    cases = []
+    posets = [random_two_dim(rng.randint(1, 40), rng) for _ in range(12)]
+    posets += [shuffled_chain_union(L, rng) for L in ([5, 7], [3, 4, 6], [1, 1, 9], [12])]
+    for P in posets:
+        r = pk.realizer(P)
+        cases += [(P, r.sigma), (P, r.sigma_bar)]
+    cases += [(pk.antichain_poset(n), tuple(range(1, n + 1))) for n in (1, 6, 13)]
+    for P, sigma in cases:
+        eng = pk.led._Engine(P, sigma)
+        full = (1 << eng.n) - 1
+        masks = [0, full, *(1 << p for p in range(eng.n))]
+        masks += [rng.getrandbits(eng.n) for _ in range(6)]
+        masks += [rng.getrandbits(eng.n) & rng.getrandbits(eng.n) for _ in range(6)]
+        for mask in masks:
+            for backward in (False, True):
+                want = literal_sweep(eng, mask, backward)
+                assert eng.sweep(mask, backward) == want, (sigma, mask, backward)
+
+
 # ---------------------------------------------------------------------------
 # restricted subposets
 
