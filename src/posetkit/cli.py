@@ -17,11 +17,6 @@ from . import __version__
 from .errors import CapExceeded, NotTwoDimensional, PosetkitError
 from .led import _led_sums, led_boolean, led_chain_union, led_upper_bound
 from .led import count_antichains as count_table
-from .oracle import (
-    critical_pairs,
-    enumerate_classes,
-    le_graph_diameter,
-)
 from .poset import DEFAULT_CAP, parse_poset
 from .realizer import realizer
 from .revlex import _inversions, _revlex_pair
@@ -37,48 +32,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _cap(text: str) -> int:
-    if (cap := int(text)) < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text}")
-    return cap
-
-
-def _build_parser() -> _Parser:
-    p = _Parser(prog="posetkit")
-    p.add_argument("--verbose", action="store_true",
-                   help="print a timing line to stderr")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("led-bool", help="formula value for the subset lattice")
-    s.add_argument("n", type=int)
-    s.set_defaults(run=_run_led_bool)
-
-    s = sub.add_parser("led-downset", help="polynomial diameter of the downset lattice")
-    s.add_argument("file")
-    s.add_argument("--breakdown", action="store_true")
-    s.add_argument("--upper-bound-only", action="store_true")
-    s.set_defaults(run=_run_led_downset)
-
-    s = sub.add_parser("diametral", help="construct a diametral extension pair")
-    s.add_argument("file")
-    s.add_argument("--svg")
-    s.add_argument("--scale", type=int, default=24)
-    s.add_argument("--max-lattice", type=_cap, default=DEFAULT_CAP)
-    s.set_defaults(run=_run_diametral)
-
-    s = sub.add_parser("oracle", help="brute-force checks")
-    s.add_argument("file")
-    s.add_argument("mode", choices=("diameter", "classes", "critical"))
-    s.add_argument("--cap", type=_cap, default=DEFAULT_CAP)
-    s.set_defaults(run=_run_oracle)
-
-    s = sub.add_parser("count-antichains", help="antichain count by the DP")
-    s.add_argument("file")
-    s.set_defaults(run=_run_count_antichains)
-
-    s = sub.add_parser("led-chains", help="closed form for unions of chains")
-    s.add_argument("lengths")
-    s.set_defaults(run=_run_led_chains)
-    return p
+    try:
+        if (cap := int(text)) >= 1:
+            return cap
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text}")
 
 
 class _Json(str):
@@ -200,6 +159,8 @@ def _run_diametral(args) -> tuple:
 
 
 def _run_oracle(args) -> tuple:
+    from .oracle import critical_pairs, enumerate_classes, le_graph_diameter
+
     text, P = _load(args.file)
     if args.mode == "diameter":
         diam, pairs = le_graph_diameter(P, args.cap)
@@ -243,9 +204,50 @@ def _run_led_chains(args) -> tuple:
     return args.lengths, {"led": _dec(led_chain_union(lengths))}
 
 
+# command -> (help, run function, its arguments as (name or flag, options))
+_COMMANDS = {
+    "led-bool": ("formula value for the subset lattice", _run_led_bool,
+                 [("n", {"type": int})]),
+    "led-downset": ("polynomial diameter of the downset lattice", _run_led_downset,
+                    [("file", {}), ("--breakdown", {"action": "store_true"}),
+                     ("--upper-bound-only", {"action": "store_true"})]),
+    "diametral": ("construct a diametral extension pair", _run_diametral,
+                  [("file", {}), ("--svg", {}), ("--scale", {"type": int, "default": 24}),
+                   ("--max-lattice", {"type": _cap, "default": DEFAULT_CAP})]),
+    "oracle": ("brute-force checks", _run_oracle,
+               [("file", {}), ("mode", {"choices": ("diameter", "classes", "critical")}),
+                ("--cap", {"type": _cap, "default": DEFAULT_CAP})]),
+    "count-antichains": ("antichain count by the DP", _run_count_antichains,
+                         [("file", {})]),
+    "led-chains": ("closed form for unions of chains", _run_led_chains,
+                   [("lengths", {})]),
+}
+
+
+def _build_parser(argv: list) -> _Parser:
+    """The parser of argv.  When argv starts with a command, it holds that
+    command's subparser alone, under the metavar that lists them all, so
+    its usage and error lines are those of the parser with every command.
+    Otherwise it holds every subparser: the top-level help lists them, and
+    a missing or unknown command is reported by the dest, `command`."""
+    p = _Parser(prog="posetkit")
+    p.add_argument("--verbose", action="store_true",
+                   help="print a timing line to stderr")
+    one = argv[:1] if argv and argv[0] in _COMMANDS else []
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
+    for name in one or _COMMANDS:
+        help_text, run, arguments = _COMMANDS[name]
+        s = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            s.add_argument(flag, **options)
+        s.set_defaults(run=run)
+    return p
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser().parse_args(argv)
+    args = _build_parser(argv).parse_args(argv)
     started = time.monotonic()
     try:
         source, result = args.run(args)

@@ -272,8 +272,11 @@ def test_caps_below_one_are_usage_errors(tmp_path, capsys):
     # a cap under 1 is refused as it is parsed (exit 1), not taken as a
     # cap that every input exceeds (exit 3)
     path = _poset_file(tmp_path, pk.antichain_poset(2))
+    # and so is a cap that is not an integer, under the same message
     for argv, flag, value in ((["diametral", path, "--max-lattice", "-5"], "--max-lattice", "-5"),
-                              (["oracle", path, "diameter", "--cap", "0"], "--cap", "0")):
+                              (["oracle", path, "diameter", "--cap", "0"], "--cap", "0"),
+                              (["oracle", path, "diameter", "--cap", "x"], "--cap", "x"),
+                              (["diametral", path, "--max-lattice", "1.5"], "--max-lattice", "1.5")):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         out, err = capsys.readouterr()
@@ -505,13 +508,69 @@ def test_verbose_timing_goes_to_stderr(capsys):
     assert "elapsed_ms" not in out
 
 
-def test_cli_import_leaves_dataclasses_out():
-    # the records are NamedTuples, so the CLI does not pay for dataclasses
-    # and the inspect module it pulls in (whatever site loaded is not ours)
+def test_main_prints_what_the_parser_with_every_command_prints(tmp_path, capsys):
+    # main builds only the subparser of the command argv starts with: its
+    # usage, help, errors and exit codes must be those of the full parser
+    f = _poset_file(tmp_path, pk.chain(2))
+    for argv in ([], ["nope"], ["-h"],
+                 ["--verbose=1", "led-downset", f],
+                 ["led-downset"], ["led-downset", f, "--bogus"], ["led-downset", "-h"],
+                 ["count-antichains", f, "extra"],
+                 ["diametral", f, "--max-lattice", "0"]):
+        seen = []
+        for parse in (cli.main, cli._build_parser([]).parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            seen.append((exc.value.code, *capsys.readouterr()))
+        assert seen[0] == seen[1], argv
+
+
+def _fresh_interpreter(probe: str) -> str:
     src = str(Path(pk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    probe = ("import sys; before = set(sys.modules); import posetkit.cli; "
-             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_leaves_dataclasses_out(tmp_path):
+    # the records are NamedTuples, so the CLI does not pay for dataclasses
+    # and the inspect module it pulls in (whatever site loaded is not ours)
+    probe = ("import sys; before = set(sys.modules); import posetkit.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules) - before))")
+    assert _fresh_interpreter(probe) == "[]"
+    # the oracle loads only when the oracle command runs; revlex and svg
+    # load with the CLI, so that a timed diametral call does not compile them
+    f = _poset_file(tmp_path, pk.antichain_poset(2))
+    probe = f"""
+import contextlib, io, sys
+import posetkit.cli as cli
+print(sorted(m for m in ("posetkit.revlex", "posetkit.svg") if m in sys.modules))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = cli.main(["led-downset", {f!r}]), cli.main(["diametral", {f!r}])
+print(codes, "posetkit.oracle" in sys.modules)
+"""
+    assert _fresh_interpreter(probe).splitlines() == [
+        "['posetkit.revlex', 'posetkit.svg']", "(0, 0) False"]
+    # the package loads its submodules on first use, and still binds
+    # realizer to the function
+    probe = """
+import sys
+import posetkit as pk
+assert pk.realizer is sys.modules["posetkit.realizer"].realizer
+assert set(pk.__all__) <= set(dir(pk))
+assert "posetkit.led" not in sys.modules
+pk.led._Engine
+assert "posetkit.oracle" not in sys.modules
+pk.oracle.brute_led_downset
+print("ok")
+"""
+    assert _fresh_interpreter(probe) == "ok"
+    probe = """
+import sys
+import posetkit
+assert "posetkit.oracle" not in sys.modules
+from posetkit import oracle
+print(oracle.__name__)
+"""
+    assert _fresh_interpreter(probe) == "posetkit.oracle"
