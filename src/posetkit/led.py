@@ -2,9 +2,10 @@
 
 Everything here works in sigma-position space: a non-separating linear
 extension sigma of P is fixed, elements are addressed by their 1-based
-position in sigma, and subposets become bitmasks over positions.  The
-counting recurrences need sigma to be non-separating; the engine checks
-that once, by its conjugate ranks, and raises SeparatingExtension otherwise.
+position in sigma, and the order is kept as their ranks in the conjugate
+of sigma alone.  The counting recurrences need sigma to be non-separating;
+the engine checks that once, by those ranks, and raises SeparatingExtension
+otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import ContractViolation, IndexOutOfRange, SeparatingExtension
-from .poset import Poset, _antichains, _bits, component_masks, induced
+from .poset import Poset, _antichains, component_masks, induced
 from .realizer import _conjugate_ranks, _require_extension, realizer
 
 
@@ -48,47 +49,37 @@ def led_chain_union(lengths: Sequence[int]) -> int:
 
 
 class _Engine:
-    """Per-(P, sigma) context: position-space masks, the antichain-count
-    sweeps along sigma, and the delta tables."""
+    """Per-(P, sigma) context: the conjugate ranks of the sigma positions,
+    the antichain-count sweeps along sigma, and the delta tables."""
 
     def __init__(self, P: Poset, sigma: Sequence[int]):
+        _require_extension(P, sigma)
         # sbar[p]: the rank of x_p in sigma_bar (see tables, fact 1)
         self.sbar = _conjugate_ranks(P, sigma)
         if sorted(self.sbar) != list(range(P.n)):
             raise SeparatingExtension(f"{tuple(sigma)} separates a comparable pair")
-        self.n = n = P.n
+        self.n = P.n
         self.sigma = tuple(sigma)
-        # the masks from the ranks (fact 1 of tables): walking positions in
-        # sigma_bar order, the seen ones before p are below x_p, the unseen
-        # ones after p above it, and the rest incomparable to it
-        self.up, self.down, self.inc = up, down, inc = [0] * n, [0] * n, [0] * n
-        full, seen = (1 << n) - 1, 0
-        for p in sorted(range(n), key=self.sbar.__getitem__):
-            bit = 1 << p
-            down[p] = seen & (bit - 1)
-            up[p] = (full ^ seen) & -(bit << 1)
-            inc[p] = full ^ bit ^ down[p] ^ up[p]
-            seen |= bit
         # ends[p] = a(inc[p] before p): the antichains whose sigma-last
         # member is x_p; 1 + sum(ends) counts all antichains of P
-        self.ends = self.sweep(full)
+        self.ends = self.sweep(range(self.n))
 
-    def sweep(self, mask: int, backward: bool = False) -> list:
-        """One pass of the antichain DP over the positions in mask.
+    def sweep(self, positions: Sequence[int], backward: bool = False) -> list:
+        """One pass of the antichain DP over the increasing positions given.
 
-        vals[p] counts the antichains of the subposet on mask whose
-        sigma-last member (sigma-first when backward) is x_p, so a(mask) is
-        1 + sum(vals); vals is 0 off mask.  Summing vals over a prefix
-        (suffix when backward) of mask counts the antichains of that prefix
-        (suffix).  The swept x_q || x_p are those ranked after x_p in
-        sigma_bar, before it when backward (fact 1 of tables): vals[p] is 1
-        plus the swept values kept by rank, summed over one slice that ends
-        at the last rank swept, so it is empty on a chain."""
+        vals[p] counts the antichains of the subposet on positions whose
+        sigma-last member (sigma-first when backward) is x_p, so a(positions)
+        is 1 + sum(vals); vals is 0 off positions.  Summing vals over a
+        prefix (suffix when backward) of positions counts the antichains of
+        that prefix (suffix).  The swept x_q || x_p are those ranked after
+        x_p in sigma_bar, before it when backward (fact 1 of tables): vals[p]
+        is 1 plus the swept values kept by rank, summed over one slice that
+        ends at the last rank swept, so it is empty on a chain."""
         n = self.n
         vals = [0] * n
         by_rank = [0] * n          # vals of the swept positions, by rank
         top = 0                    # the swept ranks lie below top
-        for p in reversed(list(_bits(mask))) if backward else _bits(mask):
+        for p in reversed(positions) if backward else positions:
             r = n - 1 - self.sbar[p] if backward else self.sbar[p]
             vals[p] = by_rank[r] = 1 + sum(by_rank[r + 1:top])
             if r >= top:
@@ -119,24 +110,24 @@ class _Engine:
 
         1. The conjugate order sigma_bar (P, plus sigma reversed on
            incomparable pairs) is a linear extension, as __init__ checks:
-           x_p has rank sbar[p] = |down[p]| + |inc[p] after p| in it.  For p
-           before q in sigma, x_p < x_q iff p comes first in sigma_bar, and
-           x_p || x_q iff p comes last.  So the inner loops below test
-           membership by comparing two ranks.
+           x_p has rank sbar[p] = |down[p]| + |inc[p] after p| in it (the
+           positions below and incomparable to x_p).  For p before q in
+           sigma, x_p < x_q iff p comes first in sigma_bar, and x_p || x_q
+           iff p comes last: the engine keeps no sets, only these ranks.
         2. W = (l', k) & inc[k] & inc[k'] & down[l] loses its down[l]: an
            x_j sigma-between x_k' < x_l with x_j || x_k' is below x_l.  So
            a(W) does not depend on l, and for fixed (k', k) one backward
            sweep over S = (k', k) & inc[k] & inc[k'] gives it for every l'
            as a suffix sum.  The sweep's counts depend on k alone (a later
            member of an antichain starting in S stays in S), so one sweep
-           over inc[k] before k serves every k'.
+           over inc[k] before k, from the lowest k' on, serves every k'.
         3. Likewise P_{i,k,l} = (i, k) & inc[i] & inc[k]: it is the part of
            S after x_i that is incomparable to x_i, so its count is
            starts[i], the value of fact 2's sweep at i (starts[k] = 1 for
            the empty P_{k,k,l}).  An x_l' above x_k' before x_k lies in S,
-           so case B's walk for k' goes down S from x_k, adds up the sweep
-           on S & inc[k'] (ranked below sbar[k']) and stops at the lowest
-           x_l' above x_k', where that sum would reach starts[k'].  Every
+           so case B's walk for k' goes down S from x_k to x_k' and adds up
+           the sweep on S & inc[k'] (ranked below sbar[k']); past the lowest
+           x_l' above x_k' no term reads that sum.  Every
            x_i and x_k' read lies in S below an x_l above x_k, so it ranks
            below the highest rank after k: the sweep starts at the lowest
            (none on two chains), and delta1 reads x_k and the prefix of
@@ -165,8 +156,7 @@ class _Engine:
         all, and two n x n tables of memory.
         """
         n = self.n
-        up, inc, sbar = self.up, self.inc, self.sbar
-        ends = self.ends
+        sbar, ends = self.sbar, self.ends
         # left[l][i] = a(prefix(i) & inc[l]) for i < l
         left = []
         for l in range(n):
@@ -181,29 +171,24 @@ class _Engine:
         d1 = [[0] * n for _ in range(n)]
         dd = [[0] * n for _ in range(n)]
         for k in range(n):
-            if not up[k]:
-                continue
-            below_k = (1 << k) - 1
             sk = sbar[k]
+            # nothing is above x_k unless the highest rank after k, hi, is
+            if k == n - 1 or (hi := max(sbar[k + 1:])) < sk:
+                continue
             # the k' of fact 3, and the position the sweep starts at
-            hi = max(sbar[k + 1:])
             kps = [q for q in range(k) if sk < sbar[q] < hi]
             lo = kps[0] if kps else k
-            starts = self.sweep(inc[k] & below_k & -(1 << lo), backward=True)
+            side = [p for p in range(lo, k) if sbar[p] > sk]
+            starts = self.sweep(side, backward=True)
             starts[k] = 1
-            # S above x_lo from x_k down, with each position's rank and count
-            walk = [(p, sbar[p], starts[p]) for p in range(k - 1, lo, -1) if sbar[p] > sk]
+            # S from x_k down to x_lo, with each position's rank and count
+            walk = [(p, sbar[p], starts[p]) for p in reversed(side)]
             diff = [0] * (n + 1)
             for kp in kps:
-                U = up[kp] & below_k
-                if not U:
-                    continue
-                # below U's lowest position the walk only adds to acc
-                low = (U & -U).bit_length() - 1
                 row, skp = dd[kp], sbar[kp]
                 acc, total = 1, 0
                 for p, r, st in walk:
-                    if p < low:
+                    if p <= kp:
                         break
                     if r < skp:
                         acc += st
@@ -261,7 +246,7 @@ def size_vectors(P: Poset, sigma: Sequence[int]) -> SizeVector:
     rows = []
     for p in range(eng.n):
         row = [1]
-        for q in _bits(eng.inc[p] & ((1 << p) - 1)):
+        for q in [q for q in range(p) if eng.sbar[q] > eng.sbar[p]]:  # x_q || x_p
             other = rows[q]
             row.extend([0] * (len(other) + 1 - len(row)))
             for r, v in enumerate(other, start=1):
@@ -284,7 +269,7 @@ def gamma(P: Poset, sigma: Sequence[int]) -> int:
     halves are incomparable, so there are ends[p] * starts[p] of them,
     from the forward and the backward sweep over all of P."""
     eng = _Engine(P, sigma)
-    return _gamma(eng.ends, eng.sweep((1 << eng.n) - 1, backward=True))
+    return _gamma(eng.ends, eng.sweep(range(eng.n), backward=True))
 
 
 def _check_pos(n: int, p: int) -> None:
@@ -351,7 +336,7 @@ def _led_sums(P: Poset, sigma: Sequence[int]) -> tuple:
     beta = 1 + sum(eng.ends)
     alpha = beta * beta
     # the backward sweep: starts[p] = a(inc[p] after p)
-    starts = eng.sweep((1 << n) - 1, backward=True)
+    starts = eng.sweep(range(n), backward=True)
     gam = _gamma(eng.ends, starts)
     d1, dd = eng.tables()
     # delta sums dd(k, l) * a(inc[k] after l).  By fact 1 of tables, for
@@ -379,12 +364,10 @@ def led_downset(P: Poset, sigma: Sequence[int] | None = None) -> LedBreakdown:
     if sigma is None:
         sigma = realizer(P).sigma
     (alpha, beta, gam, delta, led), eng, d1_rows, dd = _led_sums(P, sigma)
-    d1, d2 = {}, {}
-    for l in range(eng.n):
-        for k in _bits(eng.down[l]):
-            key = (k + 1, l + 1)
-            d1[key] = v = d1_rows[k][l]
-            d2[key] = dd[k][l] - v
+    sbar = eng.sbar  # x_k < x_l for k < l iff sbar[k] < sbar[l] (fact 1 of tables)
+    pairs = [(k, l) for l in range(eng.n) for k in range(l) if sbar[k] < sbar[l]]
+    d1 = {(k + 1, l + 1): d1_rows[k][l] for k, l in pairs}
+    d2 = {(k + 1, l + 1): dd[k][l] - d1_rows[k][l] for k, l in pairs}
     return LedBreakdown(alpha, beta, gam, delta, d1, d2, led)
 
 

@@ -7,6 +7,7 @@ after construction, so everything in here is safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -25,6 +26,10 @@ DEFAULT_CAP = 1 << 20
 # Building them costs O(log n) big-int steps per cover: 0.04-0.07 s for a
 # 4096-element chain under any labelling, about 0.3 s for a random 2D order.
 MAX_ELEMENTS = 4096
+
+# the breaks of str.splitlines ("\r\n" aside); _LINE matches a line and its break
+_BREAKS = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
+_LINE = re.compile(f"[^{_BREAKS}]*(\r\n|[{_BREAKS}])?")
 
 
 def _check_index(n: int, e: int) -> None:
@@ -396,14 +401,14 @@ def parse_poset(text: str) -> Poset:
     """Parse the line-based poset format.
 
     Comment lines start with '#'.  The first significant line is
-    'poset <n>', every following line '<i> < <j>' with 1-based ids.  The
-    relation lines are read as poset_from_relations asks for them, so an
-    oversized n is refused before any of them is read.
+    'poset <n>', every following line '<i> < <j>' with 1-based ids, lines
+    broken as by str.splitlines.  The relation lines are split only once
+    poset_from_relations asks for them, so an oversized n is refused first.
     """
-    lines = ((lineno, tokens) for lineno, raw in enumerate(text.splitlines(), start=1)
-             if (tokens := raw.split()) and not tokens[0].startswith("#"))
-    lineno, tokens = next(lines, (0, None))
-    if tokens is None:
+    for lineno, line in enumerate(_LINE.finditer(text), start=1):
+        if (tokens := line[0].split()) and not tokens[0].startswith("#"):
+            break
+    else:
         raise PosetFormatError("missing 'poset <n>' header")
     if len(tokens) != 2 or tokens[0] != "poset":
         raise PosetFormatError(f"line {lineno}: expected 'poset <n>'")
@@ -413,12 +418,15 @@ def parse_poset(text: str) -> Poset:
         raise PosetFormatError(f"line {lineno}: bad element count {tokens[1]!r}")
     if n < 0:
         raise PosetFormatError(f"line {lineno}: negative element count")
-    return poset_from_relations(n, _relations(lines))
+    return poset_from_relations(n, _relations(text, line.end(), lineno))
 
 
-def _relations(lines):
-    """The pairs (i, j) of the numbered relation lines '<i> < <j>'."""
-    for lineno, tokens in lines:
+def _relations(text, pos, lineno):
+    """The pairs (i, j) of the lines '<i> < <j>' of text[pos:], line lineno + 1 on."""
+    for lineno, raw in enumerate(text[pos:].splitlines(), start=lineno + 1):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
+            continue
         if len(tokens) != 3 or tokens[1] != "<":
             raise PosetFormatError(f"line {lineno}: expected '<i> < <j>'")
         try:

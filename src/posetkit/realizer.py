@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import ContractViolation, NotALinearExtension, NotTwoDimensional
-from .poset import Poset, _bits
+from .poset import Poset, incomparable_pairs
 
 
 def is_linear_extension(P: Poset, order: Sequence[int]) -> bool:
@@ -14,7 +14,7 @@ def is_linear_extension(P: Poset, order: Sequence[int]) -> bool:
         return False
     seen, down = 0, P.down_masks
     for e in order:  # every element must follow all that lie below it
-        if down[e - 1] & ~seen:
+        if (d := down[e - 1]) & seen != d:
             return False
         seen |= 1 << (e - 1)
     return True
@@ -38,8 +38,8 @@ def _arc_masks(P: Poset) -> list:
     loop body serves both sides.  Forcing reaches the same fixpoint in any
     order.  A class is kept as arc masks; one forcing some edge both ways
     (out[a] & into[a] not empty) proves there is no transitive orientation.
-    Nothing else is checked here: `_certified` checks the masks for
-    `transitive_orientation`, `is_two_dimensional` and `realizer`.
+    Nothing else is checked here: `_certified` checks the order the masks
+    induce for `transitive_orientation`, `is_two_dimensional` and `realizer`.
     """
     n = P.n
     adj = list(P.inc_masks)       # edges not yet in any class
@@ -112,52 +112,45 @@ class Realizer2D(NamedTuple):
 
 
 def _placed(ranks: list) -> tuple:
-    """The order with each element at its rank, and at index e - 1 the mask
-    of the elements before e.  A strict total order has ranks 0..n-1."""
+    """The order of 1..n with i at rank ranks[i - 1].  A strict total order
+    has ranks 0..n-1."""
     n = len(ranks)
     if sorted(ranks) != list(range(n)):
         raise ContractViolation("orientation does not give a total order")
-    order, ahead, seen = [0] * n, [0] * n, 0
-    for e, r in enumerate(ranks, start=1):
-        order[r] = e
-    for e in order:
-        ahead[e - 1] = seen
-        seen |= 1 << (e - 1)
-    return tuple(order), ahead
+    order = [0] * n
+    for i, r in enumerate(ranks, start=1):
+        order[r] = i
+    return tuple(order)
 
 
 def _certified(P: Poset) -> tuple:
-    """The arc masks of `_arc_masks` with the realizer (sigma, sigma_bar)
-    they induce, certified by the rank checks alone.
+    """The realizer (sigma, sigma_bar) that the arc masks of `_arc_masks`
+    induce, certified by an extension check and two rank checks alone.
 
-    sigma puts a before b for each arc a -> b of the orientation, sigma_bar
-    puts b first.  Every incomparable pair is oriented exactly once, so e
-    has |up + arcs out| elements after it in sigma and |down + arcs out|
-    before it in sigma_bar; these ranks place both orders.
-
-    The arc masks come from `_arc_masks` unchecked.  P plus the arcs and P
-    plus their reverse are tournaments, and a tournament is a linear order
-    iff its ranks are 0..n-1, which `_placed` checks for both.  That holds
-    exactly when the orientation is transitive: a -> b -> c puts a before c
-    in sigma and after it in sigma_bar, so a || c and a -> c.  The last
-    check is that the two orders intersect to P.
+    sigma puts a before b for each arc a -> b: e has |up + arcs out|
+    elements after it.  P plus the unchecked arcs is a tournament, a linear
+    order iff its ranks are 0..n-1, which `_placed` checks, and it must
+    extend P.  sigma_bar is the conjugate of sigma (P, plus sigma reversed
+    on incomparable pairs), so the two intersect to P by construction.  Its
+    ranks are 0..n-1 exactly when the orientation is transitive: a -> b ->
+    c puts a before c in sigma and after it in sigma_bar, so a || c and a
+    -> c.
     """
     n = P.n
     out = _arc_masks(P)
-    sigma, a1 = _placed([n - 1 - (u | m).bit_count() for u, m in zip(P.up_masks, out)])
-    sigma_bar, a2 = _placed([(d | m).bit_count() for d, m in zip(P.down_masks, out)])
-    # x is ahead of e in both orders exactly when x < e: both orders
-    # extend P and their intersection is P
-    if any(s & t != d for s, t, d in zip(a1, a2, P.down_masks)):
+    sigma = _placed([n - 1 - (u | m).bit_count() for u, m in zip(P.up_masks, out)])
+    if not is_linear_extension(P, sigma):
         raise ContractViolation("realizer mismatch")
-    return out, sigma, sigma_bar
+    sigma_bar = tuple([sigma[p - 1] for p in _placed(_conjugate_ranks(P, sigma))])
+    return sigma, sigma_bar
 
 
 def transitive_orientation(P: Poset) -> list:
     """Orient every incomparable pair so the orientation is transitive:
-    the sorted 1-based pairs (a, b), a -> b, of the certified arc masks."""
-    arcs = _certified(P)[0]
-    return [(a + 1, b + 1) for a in range(P.n) for b in _bits(arcs[a])]
+    the sorted 1-based pairs (a, b), a -> b, with a before b in the
+    certified sigma, which orients them as the arcs of `_arc_masks` do."""
+    at = {e: p for p, e in enumerate(_certified(P)[0])}
+    return sorted((a, b) if at[a] < at[b] else (b, a) for a, b in incomparable_pairs(P))
 
 
 def is_two_dimensional(P: Poset) -> bool:
@@ -171,17 +164,17 @@ def is_two_dimensional(P: Poset) -> bool:
 def realizer(P: Poset) -> Realizer2D:
     """A realizer by two linear extensions: intersecting their orders gives
     back exactly the poset relation."""
-    return Realizer2D(*_certified(P)[1:])
+    return Realizer2D(*_certified(P))
 
 
 def _conjugate_ranks(P: Poset, order: Sequence[int]) -> list:
-    """For each position p, the rank |down| + |inc after p| of order[p] in
-    the conjugate of order: P, plus order reversed on incomparable pairs."""
-    _require_extension(P, order)
+    """For each position p, the rank |down| + |inc after p| = n - 1 - |up| -
+    |inc before p| of order[p] in the conjugate of order: P, plus order
+    reversed on incomparable pairs.  Callers check first that order extends P."""
+    up, inc, top = P.up_masks, P.inc_masks, P.n - 1
     ranks, seen = [], 0
     for e in order:
-        ranks.append(P.down_masks[e - 1].bit_count()
-                     + (P.inc_masks[e - 1] & ~seen).bit_count())
+        ranks.append(top - up[e - 1].bit_count() - (inc[e - 1] & seen).bit_count())
         seen |= 1 << (e - 1)
     return ranks
 
@@ -192,4 +185,5 @@ def is_non_separating(P: Poset, pi: Sequence[int]) -> bool:
 
     Such a triple is a 3-cycle v, x, u of the conjugate tournament and every
     3-cycle comes from one, so pi passes iff the conjugate ranks are 0..n-1."""
+    _require_extension(P, pi)
     return sorted(_conjugate_ranks(P, pi)) == list(range(P.n))

@@ -1,12 +1,21 @@
 """The delta tables by the direct quadruple loop, every a(mask) evaluated
 from scratch: the reference the engine's sweep-based tables are pinned to.
 
-Works on an engine's position-space masks, so it sees exactly the input the
-engine sees, and returns dicts keyed by 0-based position pairs (k, l), one
-entry for every x_k below x_l.
+Works on position-space masks that `position_masks` reads off P and sigma
+one pair at a time, so nothing here comes from the engine, and returns
+dicts keyed by 0-based position pairs (k, l), one entry for every x_k below
+x_l.
 """
 
 from posetkit.poset import _bits
+
+
+def position_masks(P, sigma):
+    """down[p] and inc[p]: the positions whose element is below, and
+    incomparable to, x_p = sigma[p], as bitmasks over 0-based positions."""
+    down = [sum(1 << q for q, f in enumerate(sigma) if P.less(f, e)) for e in sigma]
+    inc = [sum(1 << q for q, f in enumerate(sigma) if P.incomparable(f, e)) for e in sigma]
+    return down, inc
 
 
 def antichain_count(inc, mask):

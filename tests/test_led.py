@@ -17,7 +17,7 @@ from conftest import (
     separates,
     shuffled_chain_union,
 )
-from reference_tables import reference_delta, reference_tables
+from reference_tables import position_masks, reference_delta, reference_tables
 
 
 REGRESSION = pk.poset_from_relations(5, [(1, 3), (1, 5), (2, 3), (2, 5), (4, 5)])
@@ -176,10 +176,10 @@ def test_led_downset_runs_two_full_sweeps(monkeypatch):
     full_sweeps = []
     sweep = pk.led._Engine.sweep
 
-    def spy(self, mask, backward=False):
-        if mask == (1 << self.n) - 1:
+    def spy(self, positions, backward=False):
+        if list(positions) == list(range(self.n)):
             full_sweeps.append(backward)
-        return sweep(self, mask, backward)
+        return sweep(self, positions, backward)
 
     monkeypatch.setattr(pk.led._Engine, "sweep", spy)
     P = random_two_dim(12, random.Random(3))
@@ -187,21 +187,19 @@ def test_led_downset_runs_two_full_sweeps(monkeypatch):
     assert sorted(full_sweeps) == [False, True]
 
 
-def literal_sweep(eng, mask, backward):
-    """vals[p] = 1 + the vals[q] of the q in mask on the swept side of p
-    that lie in inc[p], read straight off the masks."""
-    order = [p for p in range(eng.n) if mask >> p & 1]
-    if backward:
-        order.reverse()
-    vals = [0] * eng.n
+def literal_sweep(inc, positions, backward):
+    """vals[p] = 1 + the vals[q] of the q in positions on the swept side of
+    p that lie in inc[p], read straight off the masks."""
+    order = positions[::-1] if backward else positions
+    vals = [0] * len(inc)
     for j, p in enumerate(order):
-        vals[p] = 1 + sum(vals[q] for q in order[:j] if eng.inc[p] >> q & 1)
+        vals[p] = 1 + sum(vals[q] for q in order[:j] if inc[p] >> q & 1)
     return vals
 
 
 def test_sweep_matches_the_literal_dp_on_submasks():
     # the sweep sums slices of the ranks swept so far, which off the full
-    # mask have gaps: random submasks, the empty mask and single positions
+    # list have gaps: random sublists, the empty list and single positions
     rng = random.Random(37)
     cases = []
     posets = [random_two_dim(rng.randint(1, 40), rng) for _ in range(12)]
@@ -212,14 +210,16 @@ def test_sweep_matches_the_literal_dp_on_submasks():
     cases += [(pk.antichain_poset(n), tuple(range(1, n + 1))) for n in (1, 6, 13)]
     for P, sigma in cases:
         eng = pk.led._Engine(P, sigma)
+        inc = position_masks(P, sigma)[1]
         full = (1 << eng.n) - 1
         masks = [0, full, *(1 << p for p in range(eng.n))]
         masks += [rng.getrandbits(eng.n) for _ in range(6)]
         masks += [rng.getrandbits(eng.n) & rng.getrandbits(eng.n) for _ in range(6)]
         for mask in masks:
+            positions = [p for p in range(eng.n) if mask >> p & 1]
             for backward in (False, True):
-                want = literal_sweep(eng, mask, backward)
-                assert eng.sweep(mask, backward) == want, (sigma, mask, backward)
+                want = literal_sweep(inc, positions, backward)
+                assert eng.sweep(positions, backward) == want, (sigma, mask, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +298,20 @@ def test_delta_two_chain():
 
 
 def assert_tables_match_reference(P, sigma):
-    eng = pk.led._Engine(P, sigma)
-    d1, dd = eng.tables()
-    r1, r2, rd = reference_tables(eng.down, eng.inc)
+    d1, dd = pk.led._Engine(P, sigma).tables()
+    down, inc = position_masks(P, sigma)
+    r1, r2, rd = reference_tables(down, inc)
     for k in range(P.n):
         for l in range(P.n):
             key = (k, l)
             assert (d1[k][l], dd[k][l] - d1[k][l], dd[k][l]) == (
                 r1.get(key, 0), r2.get(key, 0), rd.get(key, 0)
             ), (sigma, key)
-    assert pk.led_downset(P, sigma).delta == reference_delta(eng.inc, rd)
+    # the breakdown's dicts: one entry per x_k below x_l, by l and then k
+    b = pk.led_downset(P, sigma)
+    assert list(b.delta1.items()) == [((k + 1, l + 1), v) for (k, l), v in r1.items()]
+    assert list(b.delta2.items()) == [((k + 1, l + 1), v) for (k, l), v in r2.items()]
+    assert b.delta == reference_delta(inc, rd)
 
 
 def test_tables_match_reference_on_random_two_dim():
@@ -357,42 +361,41 @@ def test_tables_match_reference_at_benchmark_size():
         assert_tables_match_reference(P, r.sigma_bar)
 
 
-def assert_engine_masks_relabel_the_poset(P, sigma):
-    # the engine builds its masks from the conjugate ranks; here they are
-    # P's own masks carried to sigma positions one element at a time
-    eng = pk.led._Engine(P, sigma)
-    at = {e: p for p, e in enumerate(sigma)}
-    for name, rows in (("up", P.up_masks), ("down", P.down_masks),
-                       ("inc", P.inc_masks)):
-        want = [sum(1 << at[f] for f in P.elements() if rows[e - 1] >> (f - 1) & 1)
-                for e in sigma]
-        assert getattr(eng, name) == want, (sigma, name)
+def assert_engine_ranks_order_the_poset(P, sigma):
+    # fact 1 of tables, the only form of the order the engine keeps: for p
+    # before q in sigma, x_p < x_q iff p ranks first in sigma_bar, and
+    # x_p || x_q iff it ranks last; here checked against P pair by pair
+    sbar = pk.led._Engine(P, sigma).sbar
+    for p, q in itertools.combinations(range(P.n), 2):
+        a, b = sigma[p], sigma[q]
+        assert P.less(a, b) == (sbar[p] < sbar[q]), (sigma, p, q)
+        assert P.incomparable(a, b) == (sbar[p] > sbar[q]), (sigma, p, q)
 
 
-def test_engine_masks_relabel_the_poset_on_every_non_separating_extension():
+def test_engine_ranks_order_the_poset_on_every_non_separating_extension():
     checked = 0
     for n in range(6):
         for P in all_posets_upto_iso(n):
             for sigma in pk.all_linear_extensions(P):
                 if not separates(P, sigma):
-                    assert_engine_masks_relabel_the_poset(P, sigma)
+                    assert_engine_ranks_order_the_poset(P, sigma)
                     checked += 1
     assert checked > 200
 
 
-def test_engine_masks_relabel_the_poset_at_benchmark_size():
+def test_engine_ranks_order_the_poset_at_benchmark_size():
     rng = random.Random(31)
     posets = [random_two_dim(n, rng) for n in (84, 100)]
     posets += [shuffled_chain_union(L, rng) for L in ([55, 55], [32, 32, 32])]
     for P in posets:
         r = pk.realizer(P)
-        assert_engine_masks_relabel_the_poset(P, r.sigma)
-        assert_engine_masks_relabel_the_poset(P, r.sigma_bar)
+        assert_engine_ranks_order_the_poset(P, r.sigma)
+        assert_engine_ranks_order_the_poset(P, r.sigma_bar)
 
 
 def test_engine_setup_memory_is_linear_in_the_masks():
-    # the masks come from the ranks, with no per-byte relabelling table:
-    # a 1024-chain's set-up stays well under the ~3.6 MB such a table took
+    # the engine keeps ranks, with no per-byte relabelling table: a
+    # 1024-chain's set-up stays well under the ~3.6 MB such a table took
     P = pk.chain(1024)
     tracemalloc.start()
     try:

@@ -474,6 +474,38 @@ def test_oversized_header_is_refused_before_allocating():
     assert pk.antichain_poset(pk.poset.MAX_ELEMENTS).n == pk.poset.MAX_ELEMENTS
 
 
+def test_refused_header_splits_no_further_line():
+    # a 5.7 MB file whose header is over the cap: refused without splitting
+    # the relation lines, which took about 60 MB when they were split first
+    text = "poset 5000\n" + "1 < 2\n" * 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(pk.CapExceeded):
+            pk.parse_poset(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, peak
+
+
+# every line break of str.splitlines, "\r\n" counting as one
+LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029")
+
+
+def test_parse_numbers_lines_as_splitlines_does():
+    comments = "".join(f"# {i}{b}" for i, b in enumerate(LINE_BREAKS))
+    relations = "".join(f"1 < 2{b}" for b in LINE_BREAKS)
+    for text in (comments + "poset x\n",
+                 comments + "poset 3\r\n" + relations + "1 2\n",
+                 "".join(f" {b}" for b in LINE_BREAKS) + "poset -1\n"):
+        want = f"line {len(text.splitlines())}: "
+        with pytest.raises(pk.PosetFormatError, match="^" + re.escape(want)):
+            pk.parse_poset(text)
+    P = pk.parse_poset(comments + "poset 3\r" + relations + "2 < 3")
+    assert P.relation_pairs() == [(1, 2), (1, 3), (2, 3)]
+
+
 def test_load_poset(tmp_path):
     p = tmp_path / "p.poset"
     p.write_text(pk.format_poset(pk.chevron()), encoding="utf-8")
