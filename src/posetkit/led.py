@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import ContractViolation, IndexOutOfRange, SeparatingExtension
 from .poset import Poset, _antichains, component_masks, induced
-from .realizer import _conjugate_ranks, _require_extension, realizer
+from .realizer import _conjugate_ranks, realizer
 
 
 def _quarter(num: int) -> int:
@@ -53,7 +53,6 @@ class _Engine:
     the antichain-count sweeps along sigma, and the delta tables."""
 
     def __init__(self, P: Poset, sigma: Sequence[int]):
-        _require_extension(P, sigma)
         # sbar[p]: the rank of x_p in sigma_bar (see tables, fact 1)
         self.sbar = _conjugate_ranks(P, sigma)
         if sorted(self.sbar) != list(range(P.n)):
@@ -273,8 +272,8 @@ def gamma(P: Poset, sigma: Sequence[int]) -> int:
 
 
 def _check_pos(n: int, p: int) -> None:
-    if not 1 <= p <= n:
-        raise IndexOutOfRange(f"sigma position {p} not in 1..{n}")
+    if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= n:
+        raise IndexOutOfRange(f"sigma position {p!r} not in 1..{n}")
 
 
 def restricted_subposets(P: Poset, sigma: Sequence[int], i: int, k: int, l: int):
@@ -286,7 +285,7 @@ def restricted_subposets(P: Poset, sigma: Sequence[int], i: int, k: int, l: int)
     - left: positions before i whose element is incomparable to x_l;
     - right: positions after l whose element is incomparable to x_k.
     """
-    _require_extension(P, sigma)
+    _conjugate_ranks(P, sigma)  # raises unless sigma extends P
     for p in (i, k, l):
         _check_pos(P.n, p)
     sig = tuple(sigma)

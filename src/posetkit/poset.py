@@ -142,7 +142,7 @@ class Poset:
     def incomparable(self, a: int, b: int) -> bool:
         _check_index(self.n, a)
         _check_index(self.n, b)
-        return a != b and not self.less(a, b) and not self.less(b, a)
+        return bool(self._inc[a - 1] >> (b - 1) & 1)
 
     def relation_pairs(self) -> list:
         """All ordered pairs (a, b) with a < b in the poset."""
@@ -261,11 +261,6 @@ def min_of(P: Poset, S: Iterable[int]) -> tuple:
     """Minimal elements of the subposet induced by S, sorted."""
     mask = _mask_of(P.n, S)
     return tuple(j + 1 for j in _bits(mask) if not P._down[j] & mask)
-
-
-def is_antichain(P: Poset, A: Iterable[int]) -> bool:
-    mask = _mask_of(P.n, A)
-    return all(not P._up[j] & mask for j in _bits(mask))
 
 
 def downset_of(P: Poset, A: Iterable[int]) -> tuple:

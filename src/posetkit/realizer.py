@@ -9,20 +9,31 @@ from .errors import ContractViolation, NotALinearExtension, NotTwoDimensional
 from .poset import Poset, incomparable_pairs
 
 
-def is_linear_extension(P: Poset, order: Sequence[int]) -> bool:
+def _conjugate_ranks(P: Poset, order: Sequence[int]) -> list:
+    """For each position p, the rank of order[p] in the conjugate of order
+    (P, plus order reversed on incomparable pairs), from the one walk that
+    checks order against P: NotALinearExtension unless order is a
+    permutation in which each element follows all below it.  The n - 1 - p
+    after position p are then up and inc after p, so the rank |down| + |inc
+    after p| is n - 1 - p - |up| + |down|."""
     if sorted(order) != list(P.elements()):
-        return False
-    seen, down = 0, P.down_masks
-    for e in order:  # every element must follow all that lie below it
-        if (d := down[e - 1]) & seen != d:
-            return False
-        seen |= 1 << (e - 1)
-    return True
-
-
-def _require_extension(P: Poset, order: Sequence[int]) -> None:
-    if not is_linear_extension(P, order):
         raise NotALinearExtension(f"{tuple(order)} does not extend the poset")
+    up, down, top = P.up_masks, P.down_masks, P.n - 1
+    ranks, seen = [], 0
+    for p, e in enumerate(order):
+        if (d := down[e - 1]) & seen != d:
+            raise NotALinearExtension(f"{tuple(order)} does not extend the poset")
+        ranks.append(top - p - up[e - 1].bit_count() + d.bit_count())
+        seen |= 1 << (e - 1)
+    return ranks
+
+
+def is_linear_extension(P: Poset, order: Sequence[int]) -> bool:
+    try:
+        _conjugate_ranks(P, order)
+    except NotALinearExtension:
+        return False
+    return True
 
 
 def _arc_masks(P: Poset) -> list:
@@ -125,13 +136,14 @@ def _placed(ranks: list) -> tuple:
 
 def _certified(P: Poset) -> tuple:
     """The realizer (sigma, sigma_bar) that the arc masks of `_arc_masks`
-    induce, certified by an extension check and two rank checks alone.
+    induce, certified by one walk over sigma and two rank checks alone.
 
     sigma puts a before b for each arc a -> b: e has |up + arcs out|
     elements after it.  P plus the unchecked arcs is a tournament, a linear
     order iff its ranks are 0..n-1, which `_placed` checks, and it must
-    extend P.  sigma_bar is the conjugate of sigma (P, plus sigma reversed
-    on incomparable pairs), so the two intersect to P by construction.  Its
+    extend P, which the walk of `_conjugate_ranks` checks while it ranks
+    sigma_bar, the conjugate of sigma (P, plus sigma reversed on
+    incomparable pairs): the two intersect to P by construction.  Its
     ranks are 0..n-1 exactly when the orientation is transitive: a -> b ->
     c puts a before c in sigma and after it in sigma_bar, so a || c and a
     -> c.
@@ -139,10 +151,11 @@ def _certified(P: Poset) -> tuple:
     n = P.n
     out = _arc_masks(P)
     sigma = _placed([n - 1 - (u | m).bit_count() for u, m in zip(P.up_masks, out)])
-    if not is_linear_extension(P, sigma):
-        raise ContractViolation("realizer mismatch")
-    sigma_bar = tuple([sigma[p - 1] for p in _placed(_conjugate_ranks(P, sigma))])
-    return sigma, sigma_bar
+    try:
+        ranks = _conjugate_ranks(P, sigma)
+    except NotALinearExtension:
+        raise ContractViolation("realizer mismatch") from None
+    return sigma, tuple([sigma[p - 1] for p in _placed(ranks)])
 
 
 def transitive_orientation(P: Poset) -> list:
@@ -167,23 +180,10 @@ def realizer(P: Poset) -> Realizer2D:
     return Realizer2D(*_certified(P))
 
 
-def _conjugate_ranks(P: Poset, order: Sequence[int]) -> list:
-    """For each position p, the rank |down| + |inc after p| = n - 1 - |up| -
-    |inc before p| of order[p] in the conjugate of order: P, plus order
-    reversed on incomparable pairs.  Callers check first that order extends P."""
-    up, inc, top = P.up_masks, P.inc_masks, P.n - 1
-    ranks, seen = [], 0
-    for e in order:
-        ranks.append(top - up[e - 1].bit_count() - (inc[e - 1] & seen).bit_count())
-        seen |= 1 << (e - 1)
-    return ranks
-
-
 def is_non_separating(P: Poset, pi: Sequence[int]) -> bool:
     """No comparable pair u < v may straddle an element incomparable to both:
     u before x before v in pi with x || u and x || v is forbidden.
 
     Such a triple is a 3-cycle v, x, u of the conjugate tournament and every
     3-cycle comes from one, so pi passes iff the conjugate ranks are 0..n-1."""
-    _require_extension(P, pi)
     return sorted(_conjugate_ranks(P, pi)) == list(range(P.n))

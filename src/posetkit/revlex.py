@@ -13,7 +13,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import CapExceeded, EqualSets, IndexOutOfRange, MismatchedGroundSets
 from .led import _Engine
 from .poset import DEFAULT_CAP, Poset, _antichains, _bits
-from .realizer import Realizer2D, _require_extension, realizer
+from .realizer import Realizer2D, _conjugate_ranks, _placed, realizer
 
 
 def revlex_less(sigma: Sequence[int], S: Iterable[int], T: Iterable[int]) -> bool:
@@ -50,7 +50,7 @@ def build_revlex_extension(
     P: Poset, sigma: Sequence[int], cap: int = DEFAULT_CAP
 ) -> LatticeExtension:
     """All downsets of P in the order revlex_less gives for sigma."""
-    _require_extension(P, sigma)
+    _conjugate_ranks(P, sigma)  # raises unless sigma extends P
     walk = list(_antichains(P, cap, sigma))
     return _extension(walk, _as_tuples(walk))
 
@@ -92,9 +92,9 @@ def _revlex_pair(P: Poset, cap: int, r: Realizer2D) -> tuple:
     masks: the downsets D in the orders L_sigma and L_sigma_bar, each with
     its maxima A.  The antichain count, which is the downset count, is
     checked against cap before any enumeration."""
-    _require_extension(P, r.sigma_bar)
+    _conjugate_ranks(P, r.sigma_bar)  # raises unless sigma_bar extends P
     eng = _Engine(P, r.sigma)  # checks sigma; sbar[p]: the conjugate rank of x_p
-    if [e for _, e in sorted(zip(eng.sbar, r.sigma))] != list(r.sigma_bar):
+    if [eng.sigma[p - 1] for p in _placed(eng.sbar)] != list(r.sigma_bar):
         raise ValueError("sigma_bar is not the conjugate of sigma")
     if 1 + sum(eng.ends) > cap:
         raise CapExceeded(f"more than {cap} downsets")

@@ -133,7 +133,7 @@ def brute_antichains(P):
     out = []
     for r in range(P.n + 1):
         for sub in itertools.combinations(P.elements(), r):
-            if pk.poset.is_antichain(P, sub):
+            if not any(P.less(a, b) for a in sub for b in sub):
                 out.append(sub)
     return out
 

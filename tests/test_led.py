@@ -267,6 +267,22 @@ def test_restricted_subposets_bad_positions():
         pk.restricted_subposets(P, (1, 2), 1, 1, 3)
 
 
+def test_sigma_positions_are_checked_like_element_ids():
+    # a float, a bool or a string is refused as a position, as Poset.less
+    # refuses it as an element: not used as an index, compared or taken as 1
+    P, sigma = pk.chain(2), (1, 2)
+    for bad in (1.0, 1.5, True, "1"):
+        for k, l in ((bad, 2), (1, bad)):
+            for delta in (pk.delta1, pk.delta2):
+                with pytest.raises(pk.IndexOutOfRange, match="sigma position"):
+                    delta(P, sigma, k, l)
+        for i, k, l in ((bad, 1, 2), (1, bad, 2), (1, 1, bad)):
+            with pytest.raises(pk.IndexOutOfRange, match="sigma position"):
+                pk.restricted_subposets(P, sigma, i, k, l)
+    with pytest.raises(pk.IndexOutOfRange, match=r"^sigma position 3 not in 1\.\.2$"):
+        pk.delta1(P, sigma, 1, 3)
+
+
 # ---------------------------------------------------------------------------
 # delta tables
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import posetkit as pk
-from posetkit.poset import _antichains, _bits, _mask_of, is_antichain
+from posetkit.poset import _antichains, _bits, _mask_of
 
 from conftest import all_posets_upto_iso, brute_antichains, random_extension, random_two_dim
 from reference_poset import reference_check, reference_closure
@@ -228,6 +228,7 @@ def test_order_axioms_random(n, data):
         assert not P.less(a, a)
         for b in P.elements():
             assert not (P.less(a, b) and P.less(b, a))
+            assert P.incomparable(a, b) == (a != b and not P.less(a, b) and not P.less(b, a))
             for c in P.elements():
                 if P.less(a, b) and P.less(b, c):
                     assert P.less(a, c)
@@ -525,7 +526,7 @@ def test_downset_of_inverse_property(n, data):
     ) if n else []
     P = pk.poset_from_relations(n, pairs)
     subset = data.draw(st.sets(st.integers(1, n), max_size=n)) if n else set()
-    if is_antichain(P, subset):
+    if not any(P.less(a, b) for a in subset for b in subset):
         assert pk.maxima_of_downset(P, pk.downset_of(P, subset)) == tuple(sorted(subset))
 
 

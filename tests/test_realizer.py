@@ -5,6 +5,7 @@ import random
 import pytest
 
 import posetkit as pk
+from posetkit.realizer import _conjugate_ranks
 
 from conftest import (
     all_posets_upto_iso,
@@ -101,6 +102,37 @@ def test_is_linear_extension_matches_the_pairwise_definition():
         if P.n:
             assert not pk.is_linear_extension(P, order[1:])
             assert not pk.is_linear_extension(P, order + order[:1])
+    assert outcomes == {False, True}
+
+
+def test_conjugate_ranks_check_and_rank_in_one_walk():
+    # the walk raises exactly on orders that are no permutation or put some
+    # b ahead of an a < b, and otherwise ranks x at position p as in the
+    # conjugate: |{y < x}| + |{y || x after p}|, counted with P.less alone
+    outcomes = set()
+    for n in range(6):
+        for P in all_posets_upto_iso(n):
+            for order in itertools.permutations(P.elements()):
+                pos = {e: k for k, e in enumerate(order)}
+                if any(pos[a] > pos[b] for a, b in P.relation_pairs()):
+                    with pytest.raises(pk.NotALinearExtension, match="does not extend"):
+                        _conjugate_ranks(P, order)
+                    outcomes.add(False)
+                    continue
+                want = [sum(P.less(y, x) for y in P.elements())
+                        + sum(not P.less(x, y) and not P.less(y, x) for y in order[p + 1:])
+                        for p, x in enumerate(order)]
+                assert _conjugate_ranks(P, order) == want, (P.relation_pairs(), order)
+                outcomes.add(True)
+            ids = list(P.elements())
+            bad = [ids + [n + 1], [0] + ids[1:], ids[:-1] + [n + 1]]
+            if n:
+                bad += [ids[1:], ids + ids[:1]]
+            if n > 1:
+                bad.append(ids[:-1] + ids[:1])
+            for order in bad:
+                with pytest.raises(pk.NotALinearExtension, match="does not extend"):
+                    _conjugate_ranks(P, order)
     assert outcomes == {False, True}
 
 
