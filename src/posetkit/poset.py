@@ -226,9 +226,11 @@ def induced(P: Poset, S: Iterable[int]) -> tuple:
     return Poset(len(ids), up), ids
 
 
-def component_masks(P: Poset, mask: int) -> list:
-    """Connected components of the comparability graph of the subposet on
-    mask, as bitmasks ordered by smallest member."""
+def _components(mask: int, rows: Sequence[int], flip: int = 0) -> list:
+    """Connected components of the graph on mask in which j is adjacent to
+    the bits of rows[j] ^ flip, as bitmasks ordered by smallest member: one
+    breadth-first search per component.  flip = -1 takes the complement
+    graph; j's own bit is then set, but j is in its component already."""
     out = []
     rest = mask
     while rest:
@@ -238,11 +240,18 @@ def component_masks(P: Poset, mask: int) -> list:
             comp |= frontier
             nxt = 0
             for j in _bits(frontier):
-                nxt |= P._up[j] | P._down[j]
+                nxt |= rows[j] ^ flip
             frontier = nxt & mask & ~comp
         out.append(comp)
         rest &= ~comp
     return out
+
+
+def component_masks(P: Poset, mask: int) -> list:
+    """Components of the comparability graph of the subposet on mask, the
+    complement of its incomparability graph, as bitmasks ordered by
+    smallest member: the parts of its disjoint-union split."""
+    return _components(mask, P._inc, -1)
 
 
 def components(P: Poset) -> list:

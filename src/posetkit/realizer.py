@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import ContractViolation, NotALinearExtension, NotTwoDimensional
-from .poset import Poset, incomparable_pairs
+from .poset import Poset, _bits, _components, component_masks, incomparable_pairs
 
 
 def _conjugate_ranks(P: Poset, order: Sequence[int]) -> list:
@@ -40,6 +40,13 @@ def _arc_masks(P: Poset) -> list:
     """Arc masks of a transitive orientation of the incomparability graph:
     b in arcs[a] when the edge {a, b} is oriented a -> b (0-based).
 
+    P is first split, part by part.  Where the comparability graph falls
+    apart (a disjoint union), the components are taken by smallest member
+    and each gets arcs to every later one, as forcing the whole would
+    orient them; where the incomparability graph does (an ordinal sum), no
+    edge crosses.  Only prime parts, both graphs connected, keep their
+    edges for forcing: each is a module, which no implication class crosses.
+
     Implication-class forcing (Golumbic, ch. 5): orienting one edge forces
     all edges reachable through vertices that lack the closing chord; the
     class is removed and the next seed is the lexicographically least
@@ -52,9 +59,25 @@ def _arc_masks(P: Poset) -> list:
     Nothing else is checked here: `_certified` checks the order the masks
     induce for `transitive_orientation`, `is_two_dimensional` and `realizer`.
     """
-    n = P.n
-    adj = list(P.inc_masks)       # edges not yet in any class
+    n, inc = P.n, P.inc_masks
+    adj = [0] * n                 # prime-part edges not yet in any class
     arcs = [0] * n
+    parts = [(1 << n) - 1]
+    while parts:
+        part = parts.pop()
+        if not part & (part - 1):     # a point has no edges
+            continue
+        if len(split := component_masks(P, part)) > 1:
+            later = 0                 # a disjoint union
+            for comp in reversed(split):
+                for a in _bits(comp):
+                    arcs[a] |= later
+                later |= comp
+        elif len(split := _components(part, inc)) == 1:
+            for a in _bits(part):     # a prime part
+                adj[a] = inc[a] & part
+            continue
+        parts += split
     out, into = [0] * n, [0] * n  # the class being forced
     # its arcs not yet propagated, by tail and by head; all 0 between classes
     new_out, new_in = [0] * n, [0] * n

@@ -5,12 +5,14 @@ import random
 import pytest
 
 import posetkit as pk
+from posetkit import cli
 from posetkit.realizer import _conjugate_ranks
 
 from conftest import (
     all_posets_upto_iso,
     random_extension,
     random_not_two_dim,
+    random_series_parallel,
     random_two_dim,
     separates,
     shuffled_chain_union,
@@ -250,6 +252,50 @@ def test_orientation_matches_reference_where_batching_differs_most():
                for lengths in ([55, 55], [55, 55], [32, 32, 32], [32, 32, 32])]
     for P in posets:
         _assert_matches_reference(P)
+
+
+def test_realizer_matches_reference_on_series_parallel_orders():
+    # split at every level, unions nested in sums and sums in unions; the
+    # reference forces the whole incomparability graph
+    rng = random.Random(23)
+    for n in (20, 30, 40, 50, 60, 80, 100, 120, 150, 180, 240, 300):
+        _assert_matches_reference(random_series_parallel(n, rng))
+
+
+def test_realizer_on_the_widest_and_tallest_inputs():
+    # every part of the split is a single point: nothing is forced
+    n = 2048
+    r = pk.realizer(pk.antichain_poset(n))
+    assert r.sigma == tuple(range(1, n + 1))
+    assert r.sigma_bar == tuple(range(n, 0, -1))
+    r = pk.realizer(pk.chain(n))
+    assert r.sigma == r.sigma_bar == tuple(range(1, n + 1))
+
+
+def _shuffled(n, pairs, rng):
+    ids = list(range(1, n + 1))
+    rng.shuffle(ids)
+    return pk.poset_from_relations(n, [(ids[a - 1], ids[b - 1]) for a, b in pairs])
+
+
+def test_not_two_dimensional_part_inside_a_split(tmp_path, capsys):
+    # the chevron beside a 3-chain, and below a 2-antichain; the edge named
+    # is the one forcing the whole poset names, pinned
+    rng = random.Random(61)
+    chevron = pk.chevron().relation_pairs()
+    union = _shuffled(9, chevron + [(7, 8), (8, 9)], rng)
+    ordinal_sum = _shuffled(8, chevron + [(a, b) for a in range(1, 7) for b in (7, 8)], rng)
+    assert len(pk.components(union)) == 2
+    for P, b in ((union, 6), (ordinal_sum, 7)):
+        with pytest.raises(pk.NotTwoDimensional) as exc:
+            pk.realizer(P)
+        assert str(exc.value) == f"edge 1,{b} is forced in both directions"
+        assert P.incomparable(1, b)
+        path = tmp_path / "input.poset"
+        path.write_text(pk.format_poset(P), encoding="utf-8")
+        assert cli.main(["led-downset", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not two-dimensional" in err
 
 
 def test_realizer_matches_reference_on_small_posets():
