@@ -17,7 +17,7 @@ from . import __version__
 from .errors import CapExceeded, NotTwoDimensional, PosetkitError
 from .led import _led_sums, led_boolean, led_chain_union, led_upper_bound
 from .led import count_antichains as count_table
-from .poset import DEFAULT_CAP, parse_poset
+from .poset import DEFAULT_CAP, _load
 from .realizer import realizer
 from .revlex import _inversions, _revlex_pair
 from .svg import _svg
@@ -76,12 +76,6 @@ def _dec(v: int) -> str:
         return str(Decimal(v))
 
 
-def _load(path: str) -> tuple:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return text, parse_poset(text)
-
-
 def _run_led_bool(args) -> tuple:
     if not 1 <= args.n <= 10 ** 4:
         raise ValueError("n must lie in 1..10000")
@@ -92,7 +86,7 @@ def _run_led_downset(args) -> tuple:
     text, P = _load(args.file)
     if args.upper_bound_only:
         return text, {"upper_bound": _dec(led_upper_bound(P))}
-    sums = _led_sums(P, realizer(P).sigma)[0]
+    sums = _led_sums(P, realizer(P).sigma)
     result = dict(zip(("alpha", "beta", "gamma", "delta", "led"), map(_dec, sums)))
     return text, result if args.breakdown else {"led": result["led"]}
 

@@ -4,7 +4,7 @@ Everything here works in sigma-position space: a non-separating linear
 extension sigma of P is fixed, elements are addressed by their 1-based
 position in sigma, and the order is kept as their ranks in the conjugate
 of sigma alone.  The counting recurrences need sigma to be non-separating;
-the engine checks that once, by those ranks, and raises SeparatingExtension
+_ranks checks that once, by those ranks, and raises SeparatingExtension
 otherwise.
 """
 
@@ -48,17 +48,23 @@ def led_chain_union(lengths: Sequence[int]) -> int:
     return _quarter(prod * (prod - sum(lengths) - 1))
 
 
+def _ranks(P: Poset, sigma: Sequence[int]) -> list:
+    """The ranks of the sigma positions in sigma_bar, the conjugate of
+    sigma, once sigma is checked to be a non-separating extension of P."""
+    sbar = _conjugate_ranks(P, sigma)
+    if sorted(sbar) != list(range(P.n)):
+        raise SeparatingExtension(f"{tuple(sigma)} separates a comparable pair")
+    return sbar
+
+
 class _Engine:
-    """Per-(P, sigma) context: the conjugate ranks of the sigma positions,
+    """Per-order context, from the ranks of a non-separating sigma alone:
     the antichain-count sweeps along sigma, and the delta tables."""
 
-    def __init__(self, P: Poset, sigma: Sequence[int]):
-        # sbar[p]: the rank of x_p in sigma_bar (see tables, fact 1)
-        self.sbar = _conjugate_ranks(P, sigma)
-        if sorted(self.sbar) != list(range(P.n)):
-            raise SeparatingExtension(f"{tuple(sigma)} separates a comparable pair")
-        self.n = P.n
-        self.sigma = tuple(sigma)
+    def __init__(self, sbar: list):
+        # sbar[p]: the rank of x_p in sigma_bar (see _ranks and tables, fact 1)
+        self.sbar = sbar
+        self.n = len(sbar)
         # ends[p] = a(inc[p] before p): the antichains whose sigma-last
         # member is x_p; 1 + sum(ends) counts all antichains of P
         self.ends = self.sweep(range(self.n))
@@ -227,8 +233,8 @@ class AntichainCountTable(NamedTuple):
 
 
 def count_antichains(P: Poset, sigma: Sequence[int]) -> AntichainCountTable:
-    eng = _Engine(P, sigma)
-    per = {eng.sigma[p]: eng.ends[p] for p in range(eng.n)}
+    eng = _Engine(_ranks(P, sigma))
+    per = dict(zip(sigma, eng.ends))
     return AntichainCountTable(per, 1 + sum(eng.ends))
 
 
@@ -241,7 +247,7 @@ def size_vectors(P: Poset, sigma: Sequence[int]) -> SizeVector:
     antichains whose sigma-last member is x_p, so summing over r gives
     count_antichains.  Weighting by r gives gamma / 2, which led_downset
     reads off the ungraded sweeps instead (see gamma)."""
-    eng = _Engine(P, sigma)
+    eng = _Engine(_ranks(P, sigma))
     rows = []
     for p in range(eng.n):
         row = [1]
@@ -251,7 +257,7 @@ def size_vectors(P: Poset, sigma: Sequence[int]) -> SizeVector:
             for r, v in enumerate(other, start=1):
                 row[r] += v
         rows.append(row)
-    return SizeVector({(eng.sigma[p], r): v for p in range(eng.n)
+    return SizeVector({(sigma[p], r): v for p in range(eng.n)
                        for r, v in enumerate(rows[p], start=1)})
 
 
@@ -267,7 +273,7 @@ def gamma(P: Poset, sigma: Sequence[int]) -> int:
     p and one of inc[p] after p; sigma being non-separating, any two such
     halves are incomparable, so there are ends[p] * starts[p] of them,
     from the forward and the backward sweep over all of P."""
-    eng = _Engine(P, sigma)
+    eng = _Engine(_ranks(P, sigma))
     return _gamma(eng.ends, eng.sweep(range(eng.n), backward=True))
 
 
@@ -302,14 +308,14 @@ def restricted_subposets(P: Poset, sigma: Sequence[int], i: int, k: int, l: int)
 
 
 def delta1(P: Poset, sigma: Sequence[int], k: int, l: int) -> int:
-    eng = _Engine(P, sigma)
+    eng = _Engine(_ranks(P, sigma))
     _check_pos(eng.n, k)
     _check_pos(eng.n, l)
     return eng.tables()[0][k - 1][l - 1]
 
 
 def delta2(P: Poset, sigma: Sequence[int], k: int, l: int) -> int:
-    eng = _Engine(P, sigma)
+    eng = _Engine(_ranks(P, sigma))
     _check_pos(eng.n, k)
     _check_pos(eng.n, l)
     d1, dd = eng.tables()
@@ -326,17 +332,13 @@ class LedBreakdown(NamedTuple):
     led: int
 
 
-def _led_sums(P: Poset, sigma: Sequence[int]) -> tuple:
-    """alpha, beta, gamma, delta and led as led_downset defines them, and
-    the engine with its d1 and dd tables, from which led_downset reads the
-    delta dicts."""
-    eng = _Engine(P, sigma)
+def _engine_sums(sbar: list) -> tuple:
+    """(a, gamma, led) of the order with these ranks, from the engine, and
+    its d1 and dd tables."""
+    eng = _Engine(sbar)
     n = eng.n
-    beta = 1 + sum(eng.ends)
-    alpha = beta * beta
     # the backward sweep: starts[p] = a(inc[p] after p)
     starts = eng.sweep(range(n), backward=True)
-    gam = _gamma(eng.ends, starts)
     d1, dd = eng.tables()
     # delta sums dd(k, l) * a(inc[k] after l).  By fact 1 of tables, for
     # l after k that count is 1 + sum(starts[q]) over q after l with
@@ -347,9 +349,61 @@ def _led_sums(P: Poset, sigma: Sequence[int]) -> tuple:
         delta += sum(map(mul, dd[k], weight))
         s = starts[k]
         weight[:k] = [w + s for w in weight[:k]]
-    delta *= 2
-    sums = (alpha, beta, gam, delta, _quarter(alpha - beta - gam - delta))
-    return sums, eng, d1, dd
+    a, gam = 1 + sum(eng.ends), _gamma(eng.ends, starts)
+    return (a, gam, _quarter(a * a - a - gam - 2 * delta)), d1, dd
+
+
+def _sums(a: int, gam: int, led: int) -> tuple:
+    """alpha, beta, gamma, delta and led from the antichain count a, gamma
+    and led."""
+    return a * a, a, gam, a * a - a - gam - 4 * led, led
+
+
+def _led_sums(P: Poset, sigma: Sequence[int]) -> tuple:
+    """alpha, beta, gamma, delta and led as led_downset defines them, with
+    the engine run only on the prime blocks of sigma.
+
+    (a, gamma, led), a the antichain count, compose as in the closed forms
+    of B_n and of chain unions: a point has (2, 2, 0); over an ordinal sum
+    a - 1, gamma and led add; over a disjoint union P + Q, a multiplies,
+    gamma is a(P)gamma(Q) + a(Q)gamma(P) and led is a(P)led(Q) + a(Q)led(P)
+    + C(a(P), 2)C(a(Q), 2).  sigma being non-separating, each part is a
+    run of sigma positions (a part below the rest comes first, and one
+    that is connected has a comparable pair around any position between
+    its ends), so a block splits after its first or before its last i
+    positions when their ranks are its lowest or highest i.  It is scanned
+    from both ends, so a split costs its smaller side.
+    """
+    sbar = _ranks(P, sigma)
+    done = []                 # (a, gamma, led) of the blocks folded so far
+    # blocks (positions lo..hi - 1, ranks from base) and, under the two
+    # parts of each split, its kind: True for a disjoint union
+    todo = [(0, P.n, 0)]
+    while todo:
+        if isinstance(item := todo.pop(), bool):
+            (a, gam, led), (a2, gam2, led2) = done.pop(), done.pop()
+            pairs = (a * (a - 1) // 2) * (a2 * (a2 - 1) // 2)
+            done.append((a * a2, a * gam2 + a2 * gam, a * led2 + a2 * led + pairs) if item
+                        else (a + a2 - 1, gam + gam2, led + led2))
+            continue
+        lo, hi, base = item
+        m, top = hi - lo, base + hi - lo - 1
+        # rank sums of the first and last i + 1 positions, and of the lowest
+        # and highest i + 1 ranks, which distinct ranks match only as those
+        left = right = low = high = 0
+        for i in range(m // 2):
+            left, right = left + sbar[lo + i], right + sbar[hi - 1 - i]
+            low, high = low + base + i, high + top - i
+            if left in (low, high) or right in (low, high):
+                break
+        else:
+            done.append((2, 2, 0) if m == 1 else _engine_sums([r - base for r in sbar[lo:hi]])[0])
+            continue
+        cut = lo + i + 1 if left in (low, high) else hi - 1 - i
+        union = sbar[lo] > sbar[hi - 1]     # the first part ranks above the last
+        todo += [union, (lo, cut, base + hi - cut if union else base),
+                 (cut, hi, base if union else base + cut - lo)]
+    return _sums(*done[0])
 
 
 def led_downset(P: Poset, sigma: Sequence[int] | None = None) -> LedBreakdown:
@@ -358,16 +412,17 @@ def led_downset(P: Poset, sigma: Sequence[int] | None = None) -> LedBreakdown:
     alpha counts ordered antichain pairs, beta the diagonal, gamma the
     pairs differing by one element, delta the ordered pairs whose symmetric
     difference is connected with more than one element; the diameter is a
-    quarter of alpha - beta - gamma - delta.
+    quarter of alpha - beta - gamma - delta.  The delta dicts take the
+    engine's tables over all of P.
     """
     if sigma is None:
         sigma = realizer(P).sigma
-    (alpha, beta, gam, delta, led), eng, d1_rows, dd = _led_sums(P, sigma)
-    sbar = eng.sbar  # x_k < x_l for k < l iff sbar[k] < sbar[l] (fact 1 of tables)
-    pairs = [(k, l) for l in range(eng.n) for k in range(l) if sbar[k] < sbar[l]]
+    sbar = _ranks(P, sigma)  # x_k < x_l for k < l iff sbar[k] < sbar[l] (fact 1 of tables)
+    (a, gam, led), d1_rows, dd = _engine_sums(sbar)
+    pairs = [(k, l) for l in range(P.n) for k in range(l) if sbar[k] < sbar[l]]
     d1 = {(k + 1, l + 1): d1_rows[k][l] for k, l in pairs}
     d2 = {(k + 1, l + 1): dd[k][l] - d1_rows[k][l] for k, l in pairs}
-    return LedBreakdown(alpha, beta, gam, delta, d1, d2, led)
+    return LedBreakdown(*_sums(a, gam, led)[:4], d1, d2, led)
 
 
 def led_upper_bound(P: Poset, cap: int = 1 << 10) -> int:

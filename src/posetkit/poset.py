@@ -409,6 +409,12 @@ def parse_poset(text: str) -> Poset:
     broken as by str.splitlines.  The relation lines are split only once
     poset_from_relations asks for them, so an oversized n is refused first.
     """
+    n, end, lineno = _header(text)
+    return poset_from_relations(n, _relations(text, end, lineno))
+
+
+def _header(text: str) -> tuple:
+    """n, and where the header line of text ends and its line number."""
     for lineno, line in enumerate(_LINE.finditer(text), start=1):
         if (tokens := line[0].split()) and not tokens[0].startswith("#"):
             break
@@ -422,7 +428,7 @@ def parse_poset(text: str) -> Poset:
         raise PosetFormatError(f"line {lineno}: bad element count {tokens[1]!r}")
     if n < 0:
         raise PosetFormatError(f"line {lineno}: negative element count")
-    return poset_from_relations(n, _relations(text, line.end(), lineno))
+    return n, line.end(), lineno
 
 
 def _relations(text, pos, lineno):
@@ -447,6 +453,24 @@ def format_poset(P: Poset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _load(path) -> tuple:
+    """The text of the file at path, as text mode reads it, and its poset.
+    The lines up to the header come first, so an oversized n is refused
+    before the rest is read."""
+    with open(path, "rb") as fh:
+        head = []
+        for line in fh:
+            head.append(line)
+            if any((t := s.split()) and not t[0].startswith("#")
+                   for s in line.decode("utf-8", "replace").splitlines()):
+                break
+        data = b"".join(head)
+        if (n := _header(data.decode("utf-8"))[0]) > MAX_ELEMENTS:
+            poset_from_relations(n, ())  # raises CapExceeded
+        data += fh.read()
+    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return text, parse_poset(text)
+
+
 def load_poset(path) -> Poset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_poset(fh.read())
+    return _load(path)[1]

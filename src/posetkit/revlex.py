@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import CapExceeded, EqualSets, IndexOutOfRange, MismatchedGroundSets
-from .led import _Engine
+from .led import _Engine, _ranks
 from .poset import DEFAULT_CAP, Poset, _antichains, _bits
 from .realizer import Realizer2D, _conjugate_ranks, _placed, realizer
 
@@ -93,8 +93,8 @@ def _revlex_pair(P: Poset, cap: int, r: Realizer2D) -> tuple:
     its maxima A.  The antichain count, which is the downset count, is
     checked against cap before any enumeration."""
     _conjugate_ranks(P, r.sigma_bar)  # raises unless sigma_bar extends P
-    eng = _Engine(P, r.sigma)  # checks sigma; sbar[p]: the conjugate rank of x_p
-    if [eng.sigma[p - 1] for p in _placed(eng.sbar)] != list(r.sigma_bar):
+    eng = _Engine(_ranks(P, r.sigma))  # sbar[p]: the conjugate rank of x_p
+    if [r.sigma[p - 1] for p in _placed(eng.sbar)] != list(r.sigma_bar):
         raise ValueError("sigma_bar is not the conjugate of sigma")
     if 1 + sum(eng.ends) > cap:
         raise CapExceeded(f"more than {cap} downsets")

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -318,6 +319,55 @@ def test_oversized_header_exits_three_before_the_relations(tmp_path, capsys):
         code, out, err = _run(capsys, ["count-antichains", str(path)])
         assert time.perf_counter() - started < 0.5
         assert (code, out, err) == (3, "", "posetkit: cap exceeded: 5000 elements, more than 4096\n")
+
+
+def test_oversized_header_refusal_memory_does_not_grow_with_the_file(tmp_path, capsys):
+    # only the lines up to the header are read before the refusal: the
+    # tracemalloc peak of a 1.2 MB file stays that of a two-line one
+    peaks = []
+    for lines in (1, 200_000):
+        path = tmp_path / f"{lines}.poset"
+        path.write_text("# big\r\n\nposet 5000\n" + "1 < 2\n" * lines, encoding="utf-8")
+        tracemalloc.start()
+        try:
+            code, out, err = _run(capsys, ["count-antichains", str(path)])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (3, "", "posetkit: cap exceeded: 5000 elements, more than 4096\n")
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
+
+
+def test_input_digest_is_of_the_text_as_text_mode_reads_it(tmp_path, capsys):
+    # the file is read as bytes up to the header and decoded after, with
+    # line ends translated as text mode translates them; the lines before
+    # the header break, as str.splitlines does, at \x1c and \u2028 too
+    raw = "# é\r\n\x1c# c\n\u2028# d\x1c\rposet 3\r\n1 < 2\n\n2 < 3\r".encode("utf-8")
+    path = tmp_path / "P.poset"
+    path.write_bytes(raw)
+    code, out, err = _run(capsys, ["count-antichains", str(path)])
+    assert code == 0
+    with open(path, "r", encoding="utf-8") as fh:
+        want = hashlib.sha256(fh.read().encode("utf-8")).hexdigest()
+    assert _payload(out)["input_sha256"] == want
+    assert _payload(out)["result"]["total"] == "4"
+    # a byte that is not UTF-8, past the header and the first 8 KiB, is
+    # reported at its offset in the whole file
+    path.write_bytes(b"poset 2\n" + b"# pad\n" * 3000 + b"\xff\n")
+    code, out, err = _run(capsys, ["count-antichains", str(path)])
+    assert (code, out) == (1, "")
+    assert "can't decode byte 0xff in position 18008" in err
+
+
+def test_long_comment_preamble_is_read_in_linear_time(tmp_path, capsys):
+    # 20000 comment lines (2 MB) before the header: the lines read up to
+    # the header are joined once, not grown a line at a time
+    path = tmp_path / "P.poset"
+    path.write_text(("# " + "x" * 97 + "\n") * 20_000 + "poset 2\n1 < 2\n", encoding="utf-8")
+    started = time.perf_counter()
+    code, out, err = _run(capsys, ["count-antichains", str(path)])
+    assert time.perf_counter() - started < 2
+    assert code == 0 and _payload(out)["result"]["total"] == "3"
 
 
 def test_wide_antichain_exits_three(tmp_path, capsys):

@@ -209,7 +209,7 @@ def test_sweep_matches_the_literal_dp_on_submasks():
         cases += [(P, r.sigma), (P, r.sigma_bar)]
     cases += [(pk.antichain_poset(n), tuple(range(1, n + 1))) for n in (1, 6, 13)]
     for P, sigma in cases:
-        eng = pk.led._Engine(P, sigma)
+        eng = pk.led._Engine(pk.led._ranks(P, sigma))
         inc = position_masks(P, sigma)[1]
         full = (1 << eng.n) - 1
         masks = [0, full, *(1 << p for p in range(eng.n))]
@@ -314,7 +314,7 @@ def test_delta_two_chain():
 
 
 def assert_tables_match_reference(P, sigma):
-    d1, dd = pk.led._Engine(P, sigma).tables()
+    d1, dd = pk.led._Engine(pk.led._ranks(P, sigma)).tables()
     down, inc = position_masks(P, sigma)
     r1, r2, rd = reference_tables(down, inc)
     for k in range(P.n):
@@ -381,7 +381,7 @@ def assert_engine_ranks_order_the_poset(P, sigma):
     # fact 1 of tables, the only form of the order the engine keeps: for p
     # before q in sigma, x_p < x_q iff p ranks first in sigma_bar, and
     # x_p || x_q iff it ranks last; here checked against P pair by pair
-    sbar = pk.led._Engine(P, sigma).sbar
+    sbar = pk.led._Engine(pk.led._ranks(P, sigma)).sbar
     for p, q in itertools.combinations(range(P.n), 2):
         a, b = sigma[p], sigma[q]
         assert P.less(a, b) == (sbar[p] < sbar[q]), (sigma, p, q)
@@ -415,7 +415,7 @@ def test_engine_setup_memory_is_linear_in_the_masks():
     P = pk.chain(1024)
     tracemalloc.start()
     try:
-        pk.led._Engine(P, range(1, 1025))
+        pk.led._Engine(pk.led._ranks(P, range(1, 1025)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -423,8 +423,9 @@ def test_engine_setup_memory_is_linear_in_the_masks():
 
 
 def test_conjugate_rank_check_raises():
-    # the engine's guard is its own conjugate-rank check: it refuses exactly
-    # the extensions with a separating triple, on every poset up to 5 points
+    # the engine's guard, _ranks, is a conjugate-rank check: it refuses
+    # exactly the extensions with a separating triple, on every poset up to
+    # 5 points
     refused = 0
     for n in range(6):
         for P in all_posets_upto_iso(n):
@@ -432,9 +433,9 @@ def test_conjugate_rank_check_raises():
                 if separates(P, sigma):
                     refused += 1
                     with pytest.raises(pk.SeparatingExtension):
-                        pk.led._Engine(P, sigma)
+                        pk.led._ranks(P, sigma)
                 else:
-                    assert sorted(pk.led._Engine(P, sigma).sbar) == list(range(n))
+                    assert sorted(pk.led._ranks(P, sigma)) == list(range(n))
     assert refused
 
 
