@@ -247,18 +247,18 @@ def size_vectors(P: Poset, sigma: Sequence[int]) -> SizeVector:
     antichains whose sigma-last member is x_p, so summing over r gives
     count_antichains.  Weighting by r gives gamma / 2, which led_downset
     reads off the ungraded sweeps instead (see gamma)."""
-    eng = _Engine(_ranks(P, sigma))
+    sbar = _ranks(P, sigma)
     rows = []
-    for p in range(eng.n):
+    for p in range(len(sbar)):
         row = [1]
-        for q in [q for q in range(p) if eng.sbar[q] > eng.sbar[p]]:  # x_q || x_p
+        for q in [q for q in range(p) if sbar[q] > sbar[p]]:  # x_q || x_p
             other = rows[q]
             row.extend([0] * (len(other) + 1 - len(row)))
             for r, v in enumerate(other, start=1):
                 row[r] += v
         rows.append(row)
-    return SizeVector({(sigma[p], r): v for p in range(eng.n)
-                       for r, v in enumerate(rows[p], start=1)})
+    return SizeVector({(sigma[p], r): v for p, row in enumerate(rows)
+                       for r, v in enumerate(row, start=1)})
 
 
 def _gamma(ends: list, starts: list) -> int:

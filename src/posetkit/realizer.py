@@ -50,10 +50,9 @@ def _arc_masks(P: Poset) -> list:
     Implication-class forcing (Golumbic, ch. 5): orienting one edge forces
     all edges reachable through vertices that lack the closing chord; the
     class is removed and the next seed is the lexicographically least
-    surviving edge, oriented low to high.  Forcing is batched per vertex:
-    new out-arcs a -> S force a -> c for every c in adj[a] outside the AND
-    of adj[b] over S, and new in-arcs S -> b likewise force c -> b, so one
-    loop body serves both sides.  Forcing reaches the same fixpoint in any
+    surviving edge, oriented low to high.  Each arc a -> b taken off a queue
+    forces a -> c for every c in adj[a] outside adj[b], and c -> b for every
+    c in adj[b] outside adj[a]; forcing reaches the same fixpoint in any
     order.  A class is kept as arc masks; one forcing some edge both ways
     (out[a] & into[a] not empty) proves there is no transitive orientation.
     Nothing else is checked here: `_certified` checks the order the masks
@@ -79,57 +78,36 @@ def _arc_masks(P: Poset) -> list:
             continue
         parts += split
     out, into = [0] * n, [0] * n  # the class being forced
-    # its arcs not yet propagated, by tail and by head; all 0 between classes
-    new_out, new_in = [0] * n, [0] * n
-    # side 0 propagates out-arcs, side 1 in-arcs, each feeding the other
-    sides = ((out, into, new_out, new_in), (into, out, new_in, new_out))
     for i in range(n):
         while rest := adj[i] & -(2 << i):
             low = rest & -rest
             j = low.bit_length() - 1
-            bit_i = 1 << i
-            out[i] = new_out[i] = low
-            into[j] = new_in[j] = bit_i
-            touched = low | bit_i
-            pending = [bit_i, low]    # vertices with new out-, in-arcs
-            d = 0
-            # after the first pass only the side just fed has pending vertices
-            while verts := pending[d]:
-                pending[d] = 0
-                mine, theirs, new_mine, new_theirs = sides[d]
-                reached = 0           # the other ends of the forced arcs
-                while verts:
-                    bit_a = verts & -verts
-                    verts ^= bit_a
-                    a = bit_a.bit_length() - 1
-                    adj_a = adj[a]
-                    fresh = new_mine[a]
-                    new_mine[a] = 0
-                    # S = fresh; the arcs it forces are the next S
+            out[i], into[j] = low, 1 << i
+            touched = low | 1 << i
+            queue = [(i, j)]          # arcs whose forcing is not yet followed
+            while queue:
+                a, b = queue.pop()
+                if fresh := adj[a] & ~adj[b] & ~out[a]:  # a -> b forces a -> c
+                    out[a] |= fresh
+                    touched |= fresh
+                    bit = 1 << a
                     while fresh:
-                        open_ = adj_a & ~mine[a]
-                        keep = open_      # stays unforced: adjacent to all of S
-                        while fresh and keep:
-                            low = fresh & -fresh
-                            keep &= adj[low.bit_length() - 1]
-                            fresh ^= low
-                        fresh = open_ & ~keep
-                        mine[a] |= fresh
-                        reached |= fresh
-                        m = fresh
-                        while m:
-                            low = m & -m
-                            c = low.bit_length() - 1
-                            theirs[c] |= bit_a
-                            new_theirs[c] |= bit_a
-                            m ^= low
-                touched |= reached
-                d ^= 1
-                pending[d] |= reached
-            while touched:
-                bit_a = touched & -touched
-                touched ^= bit_a
-                a = bit_a.bit_length() - 1
+                        low = fresh & -fresh
+                        c = low.bit_length() - 1
+                        into[c] |= bit
+                        queue.append((a, c))
+                        fresh ^= low
+                if fresh := adj[b] & ~adj[a] & ~into[b]:  # and c -> b
+                    into[b] |= fresh
+                    touched |= fresh
+                    bit = 1 << b
+                    while fresh:
+                        low = fresh & -fresh
+                        c = low.bit_length() - 1
+                        out[c] |= bit
+                        queue.append((c, b))
+                        fresh ^= low
+            for a in _bits(touched):
                 if out[a] & into[a]:
                     b = (out[a] & into[a]).bit_length()
                     raise NotTwoDimensional(

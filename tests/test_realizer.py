@@ -6,7 +6,8 @@ import pytest
 
 import posetkit as pk
 from posetkit import cli
-from posetkit.realizer import _conjugate_ranks
+from posetkit.poset import _bits, _components, component_masks
+from posetkit.realizer import _arc_masks, _conjugate_ranks
 
 from conftest import (
     all_posets_upto_iso,
@@ -296,6 +297,63 @@ def test_not_two_dimensional_part_inside_a_split(tmp_path, capsys):
         assert cli.main(["led-downset", str(path)]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "not two-dimensional" in err
+
+
+def _substituted(n, pairs, x, m, inner, rng):
+    """The order on 1..n with point x blown up into an m-point module, whose
+    own relations are inner on 1..m, ids shuffled."""
+    module = [x, *range(n + 1, n + m)]
+    grown = lambda e: module if e == x else [e]
+    relations = [(u, v) for a, b in pairs for u in grown(a) for v in grown(b)]
+    relations += [(module[a - 1], module[b - 1]) for a, b in inner]
+    return _shuffled(n + m - 1, relations, rng)
+
+
+def _wide_order(n, rng):
+    """The reversed permutation with n // 8 random transpositions, as the
+    second order of a 2D order, ids shuffled: few comparable pairs, and
+    most points in one prime part."""
+    second = list(range(n, 0, -1))
+    for _ in range(n // 8):
+        i, j = rng.sample(range(n), 2)
+        second[i], second[j] = second[j], second[i]
+    rank = {e: r for r, e in enumerate(second)}
+    return _shuffled(n, [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                         if rank[a] < rank[b]], rng)
+
+
+def test_forcing_matches_reference_inside_one_prime_part():
+    # the split leaves a prime part of most points, on which every class
+    # is forced: the N (1 < 3, 2 < 3, 2 < 4) with one point blown up into an
+    # antichain or a chain union gives hundreds of classes, the wide order
+    # one big one
+    rng = random.Random(71)
+    N = [(1, 3), (2, 3), (2, 4)]
+    posets = [_wide_order(120, rng) for _ in range(2)]
+    for m, x in zip(range(20, 81, 20), (3, 1, 4, 2)):
+        lengths = [m // 4, m // 4, m - m // 4 * 2]
+        posets.append(_substituted(4, N, x, m, [], rng))
+        posets.append(_substituted(4, N, x, m, shuffled_chain_union(
+            lengths, rng).relation_pairs(), rng))
+    for P in posets:
+        prime = max(component_masks(P, (1 << P.n) - 1), key=int.bit_count)
+        assert _components(prime, P.inc_masks) == [prime]
+        assert 4 * prime.bit_count() > 3 * P.n
+        masks = _arc_masks(P)
+        arcs = sorted((a + 1, b + 1) for a in range(P.n) for b in _bits(masks[a]))
+        assert arcs == reference_orientation(P)
+        _assert_matches_reference(P)
+
+
+def test_not_two_dimensional_with_an_antichain_module():
+    # the chevron's point 5 blown up into 30 points is still not 2D; the
+    # edge named, pinned, must not depend on the order of forcing
+    P = _substituted(6, pk.chevron().relation_pairs(), 5, 30, [], random.Random(73))
+    assert reference_orientation(P) is None and P.incomparable(1, 27)
+    for check in (_arc_masks, pk.realizer):
+        with pytest.raises(pk.NotTwoDimensional) as exc:
+            check(P)
+        assert str(exc.value) == "edge 1,27 is forced in both directions"
 
 
 def test_realizer_matches_reference_on_small_posets():
