@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import accumulate, combinations
+from functools import cached_property
+from itertools import accumulate, combinations, islice
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -59,7 +60,7 @@ def _ranks(P: Poset, sigma: Sequence[int]) -> list:
 
 class _Engine:
     """Per-order context, from the ranks of a non-separating sigma alone:
-    the antichain-count sweeps along sigma, and the delta tables."""
+    the antichain-count sweeps along sigma, and the delta table rows."""
 
     def __init__(self, sbar: list):
         # sbar[p]: the rank of x_p in sigma_bar (see _ranks and tables, fact 1)
@@ -91,10 +92,25 @@ class _Engine:
                 top = r + 1
         return vals
 
-    def tables(self) -> tuple:
-        """Rows d1 and dd with d1[k][l] = delta1 and dd[k][l] = delta1 +
-        delta2 for 0-based positions k, l, so delta2 is their difference;
-        entries with x_k not below x_l are 0.
+    @cached_property
+    def after(self) -> list:
+        """after[p] = a(inc[p] after p): the backward sweep over all of P."""
+        return self.sweep(range(self.n), backward=True)
+
+    @property
+    def gamma(self) -> int:
+        return 2 * sum(map(mul, self.ends, self.after))
+
+    def sums(self, rows) -> tuple:
+        """(a, gamma, led) of the order, from the rows of `tables`."""
+        a, gam = 1 + sum(self.ends), self.gamma
+        return a, gam, _quarter(a * a - a - gam - 2 * sum(term for _, _, term in rows))
+
+    def tables(self):
+        """Yields, for k = 0, 1, ..., n - 1, the rows d1[k] and dd[k] of
+        delta1 and delta1 + delta2 at 0-based (k, l), 0 unless x_k < x_l,
+        and row k's term of the final delta sum, dd(k, l) * a(inc[k] after
+        l) over l.  Case B keeps the dd rows; d1 rows are the caller's.
 
         delta1(k, l) counts the configurations whose only maximum is x_l:
         pick the sigma-least minimum x_i (i == k or x_i || x_k), fill in
@@ -132,16 +148,16 @@ class _Engine:
            the empty P_{k,k,l}).  An x_l' above x_k' before x_k lies in S,
            so case B's walk for k' goes down S from x_k to x_k' and adds up
            the sweep on S & inc[k'] (ranked below sbar[k']); past the lowest
-           x_l' above x_k' no term reads that sum.  Every
-           x_i and x_k' read lies in S below an x_l above x_k, so it ranks
-           below the highest rank after k: the sweep starts at the lowest
-           (none on two chains), and delta1 reads x_k and the prefix of
-           them in rank order below sbar[l].  The side count a(prefix(i) &
-           inc[l]) is a prefix sum of the forward sweep over all of P,
-           `ends` (an antichain ending in inc[l] before x_l lies there), one
-           pass per l; the final sum's a(inc[k] after l) is 1 plus the
-           backward sweep over all of P summed after l on the positions
-           before k in sigma_bar (fact 1).  The two full sweeps also give
+           x_l' above x_k' no term reads that sum.  Every x_i and x_k' read
+           lies in S below an x_l above x_k, so it ranks below the highest
+           rank after k: the sweep starts at the lowest (none on two
+           chains), and delta1 reads x_k and the prefix of them in rank
+           order below sbar[l].  The side count a(prefix(i) & inc[l]) is a
+           prefix sum of the forward sweep over all of P, `ends` (an
+           antichain ending in inc[l] before x_l lies there), one pass per
+           l; the final sum's a(inc[k] after l) is 1 plus the backward sweep
+           `after` summed after l on the positions before k in sigma_bar
+           (fact 1), the ones row k skips.  The two full sweeps also give
            gamma: ends[p] = a(inc[p] before p) and the backward value
            a(inc[p] after p), no member of the one set is comparable to a
            member of the other, so their product counts the antichains
@@ -158,10 +174,10 @@ class _Engine:
         where fact 3 starts it, case B's walk at most O(k - k') list steps
         per pair, delta1 O(|inc[k]|) and case A one slice per (k, l): the
         tables take O(n^3) big-integer additions and multiplications in
-        all, and two n x n tables of memory.
+        all, and one n x n table of memory.
         """
         n = self.n
-        sbar, ends = self.sbar, self.ends
+        sbar, ends, after = self.sbar, self.ends, self.after
         # left[l][i] = a(prefix(i) & inc[l]) for i < l
         left = []
         for l in range(n):
@@ -173,12 +189,14 @@ class _Engine:
                 if sbar[i] > sl:
                     acc += ends[i]
             left.append(row)
-        d1 = [[0] * n for _ in range(n)]
-        dd = [[0] * n for _ in range(n)]
+        dd = []
         for k in range(n):
+            r1, rd = [0] * n, [0] * n
+            dd.append(rd)
             sk = sbar[k]
             # nothing is above x_k unless the highest rank after k, hi, is
             if k == n - 1 or (hi := max(sbar[k + 1:])) < sk:
+                yield r1, rd, 0
                 continue
             # the k' of fact 3, and the position the sweep starts at
             kps = [q for q in range(k) if sk < sbar[q] < hi]
@@ -204,12 +222,13 @@ class _Engine:
                 diff[skp + 1] += total
             case_b = list(accumulate(diff))
             ranked = sorted([k, *kps], key=sbar.__getitem__)
-            r1, rd = d1[k], dd[k]
             by_rank = [0] * n      # rd[l'] at sbar[l'] for the l' filled so far,
             top = 0                # whose ranks all lie below top
+            term = filled = 0      # rd[l] weighs 1 + the sum of after[q] over skipped q > l
             for l in range(k + 1, n):
                 sl = sbar[l]
                 if sl < sk:
+                    term += filled * after[l]
                     continue
                 lrow = left[l]
                 s1 = 0
@@ -221,10 +240,11 @@ class _Engine:
                 if sl + 1 < top:
                     s2 += sum(by_rank[sl + 1:top])
                 r1[l] = s1
-                rd[l] = by_rank[sl] = s1 + s2
+                rd[l] = by_rank[sl] = v = s1 + s2
+                filled += v
                 if sl >= top:
                     top = sl + 1
-        return d1, dd
+            yield r1, rd, term + filled
 
 
 class AntichainCountTable(NamedTuple):
@@ -234,8 +254,7 @@ class AntichainCountTable(NamedTuple):
 
 def count_antichains(P: Poset, sigma: Sequence[int]) -> AntichainCountTable:
     eng = _Engine(_ranks(P, sigma))
-    per = dict(zip(sigma, eng.ends))
-    return AntichainCountTable(per, 1 + sum(eng.ends))
+    return AntichainCountTable(dict(zip(sigma, eng.ends)), 1 + sum(eng.ends))
 
 
 class SizeVector(NamedTuple):
@@ -261,25 +280,21 @@ def size_vectors(P: Poset, sigma: Sequence[int]) -> SizeVector:
                        for r, v in enumerate(row, start=1)})
 
 
-def _gamma(ends: list, starts: list) -> int:
-    return 2 * sum(map(mul, ends, starts))
-
-
 def gamma(P: Poset, sigma: Sequence[int]) -> int:
     """Twice the number of ordered pairs (A, A - x): each antichain counted
     with multiplicity its cardinality, doubled.
 
     The antichains through x_p are x_p plus an antichain of inc[p] before
     p and one of inc[p] after p; sigma being non-separating, any two such
-    halves are incomparable, so there are ends[p] * starts[p] of them,
+    halves are incomparable, so there are ends[p] * after[p] of them,
     from the forward and the backward sweep over all of P."""
-    eng = _Engine(_ranks(P, sigma))
-    return _gamma(eng.ends, eng.sweep(range(eng.n), backward=True))
+    return _Engine(_ranks(P, sigma)).gamma
 
 
-def _check_pos(n: int, p: int) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= n:
-        raise IndexOutOfRange(f"sigma position {p!r} not in 1..{n}")
+def _check_pos(n: int, *positions: int) -> None:
+    for p in positions:
+        if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= n:
+            raise IndexOutOfRange(f"sigma position {p!r} not in 1..{n}")
 
 
 def restricted_subposets(P: Poset, sigma: Sequence[int], i: int, k: int, l: int):
@@ -292,8 +307,7 @@ def restricted_subposets(P: Poset, sigma: Sequence[int], i: int, k: int, l: int)
     - right: positions after l whose element is incomparable to x_k.
     """
     _conjugate_ranks(P, sigma)  # raises unless sigma extends P
-    for p in (i, k, l):
-        _check_pos(P.n, p)
+    _check_pos(P.n, i, k, l)
     sig = tuple(sigma)
     xi, xk, xl = sig[i - 1], sig[k - 1], sig[l - 1]
     mid = []
@@ -307,19 +321,20 @@ def restricted_subposets(P: Poset, sigma: Sequence[int], i: int, k: int, l: int)
     return induced(P, mid)[0], induced(P, left)[0], induced(P, right)[0]
 
 
-def delta1(P: Poset, sigma: Sequence[int], k: int, l: int) -> int:
+def _row(P: Poset, sigma: Sequence[int], k: int, l: int) -> tuple:
+    """Rows d1[k - 1] and dd[k - 1], k and l checked; the tables stop there."""
     eng = _Engine(_ranks(P, sigma))
-    _check_pos(eng.n, k)
-    _check_pos(eng.n, l)
-    return eng.tables()[0][k - 1][l - 1]
+    _check_pos(eng.n, k, l)
+    return next(islice(eng.tables(), k - 1, None))[:2]
+
+
+def delta1(P: Poset, sigma: Sequence[int], k: int, l: int) -> int:
+    return _row(P, sigma, k, l)[0][l - 1]
 
 
 def delta2(P: Poset, sigma: Sequence[int], k: int, l: int) -> int:
-    eng = _Engine(_ranks(P, sigma))
-    _check_pos(eng.n, k)
-    _check_pos(eng.n, l)
-    d1, dd = eng.tables()
-    return dd[k - 1][l - 1] - d1[k - 1][l - 1]
+    r1, rd = _row(P, sigma, k, l)
+    return rd[l - 1] - r1[l - 1]
 
 
 class LedBreakdown(NamedTuple):
@@ -333,24 +348,8 @@ class LedBreakdown(NamedTuple):
 
 
 def _engine_sums(sbar: list) -> tuple:
-    """(a, gamma, led) of the order with these ranks, from the engine, and
-    its d1 and dd tables."""
-    eng = _Engine(sbar)
-    n = eng.n
-    # the backward sweep: starts[p] = a(inc[p] after p)
-    starts = eng.sweep(range(n), backward=True)
-    d1, dd = eng.tables()
-    # delta sums dd(k, l) * a(inc[k] after l).  By fact 1 of tables, for
-    # l after k that count is 1 + sum(starts[q]) over q after l with
-    # sbar[q] < sbar[k]: taking k by increasing sbar, weight[l] holds it
-    weight = [1] * n
-    delta = 0
-    for k in sorted(range(n), key=eng.sbar.__getitem__):
-        delta += sum(map(mul, dd[k], weight))
-        s = starts[k]
-        weight[:k] = [w + s for w in weight[:k]]
-    a, gam = 1 + sum(eng.ends), _gamma(eng.ends, starts)
-    return (a, gam, _quarter(a * a - a - gam - 2 * delta)), d1, dd
+    """(a, gamma, led) of the order with these ranks; no row is kept."""
+    return (eng := _Engine(sbar)).sums(eng.tables())
 
 
 def _sums(a: int, gam: int, led: int) -> tuple:
@@ -397,7 +396,7 @@ def _led_sums(P: Poset, sigma: Sequence[int]) -> tuple:
             if left in (low, high) or right in (low, high):
                 break
         else:
-            done.append((2, 2, 0) if m == 1 else _engine_sums([r - base for r in sbar[lo:hi]])[0])
+            done.append((2, 2, 0) if m == 1 else _engine_sums([r - base for r in sbar[lo:hi]]))
             continue
         cut = lo + i + 1 if left in (low, high) else hi - 1 - i
         union = sbar[lo] > sbar[hi - 1]     # the first part ranks above the last
@@ -418,10 +417,11 @@ def led_downset(P: Poset, sigma: Sequence[int] | None = None) -> LedBreakdown:
     if sigma is None:
         sigma = realizer(P).sigma
     sbar = _ranks(P, sigma)  # x_k < x_l for k < l iff sbar[k] < sbar[l] (fact 1 of tables)
-    (a, gam, led), d1_rows, dd = _engine_sums(sbar)
+    eng = _Engine(sbar)
+    a, gam, led = eng.sums(rows := list(eng.tables()))
     pairs = [(k, l) for l in range(P.n) for k in range(l) if sbar[k] < sbar[l]]
-    d1 = {(k + 1, l + 1): d1_rows[k][l] for k, l in pairs}
-    d2 = {(k + 1, l + 1): dd[k][l] - d1_rows[k][l] for k, l in pairs}
+    d1 = {(k + 1, l + 1): rows[k][0][l] for k, l in pairs}
+    d2 = {(k + 1, l + 1): rows[k][1][l] - rows[k][0][l] for k, l in pairs}
     return LedBreakdown(*_sums(a, gam, led)[:4], d1, d2, led)
 
 

@@ -313,16 +313,58 @@ def test_delta_two_chain():
     assert pk.delta2(P, (1, 2), 1, 2) == 0
 
 
+def _reference_cases(rng):
+    """The chain unions and antichains of the reference tests, through both
+    realizer orders, and 20 random 2D orders with n <= 10."""
+    cases = []
+    for lengths in ([1], [5], [2, 1], [3, 3], [4, 1, 2], [2, 2, 2, 1]):
+        P = pk.chain_union(lengths)
+        r = pk.realizer(P)
+        cases += [(P, r.sigma), (P, r.sigma_bar)]
+    cases += [(pk.antichain_poset(n), tuple(range(1, n + 1))) for n in (1, 4, 7)]
+    for _ in range(20):
+        P = random_two_dim(rng.randint(1, 10), rng)
+        r = pk.realizer(P)
+        cases += [(P, r.sigma), (P, r.sigma_bar)]
+    return cases
+
+
+def test_delta1_and_delta2_match_reference_cell_by_cell():
+    # the public entry points, which stop the tables at row k, at every
+    # 1-based (k, l), the zero cells included
+    for P, sigma in _reference_cases(random.Random(41)):
+        r1, r2, _ = reference_tables(*position_masks(P, sigma))
+        for k, l in itertools.product(range(1, P.n + 1), repeat=2):
+            key = (k - 1, l - 1)
+            assert pk.delta1(P, sigma, k, l) == r1.get(key, 0), (sigma, k, l)
+            assert pk.delta2(P, sigma, k, l) == r2.get(key, 0), (sigma, k, l)
+
+
+def test_delta_checks_sigma_before_the_positions():
+    # 1 < 3 with 2 apart: (1, 2, 3) separates, (1, 3, 2) does not
+    P = pk.poset_from_relations(3, [(1, 3)])
+    for delta in (pk.delta1, pk.delta2):
+        for k, l in ((0, 1), (1, 4), (0, 4), (2, 2)):
+            with pytest.raises(pk.SeparatingExtension):
+                delta(P, (1, 2, 3), k, l)
+        for (k, l), bad in (((0, 1), 0), ((1, 4), 4), ((0, 4), 0), ((4, 1), 4)):
+            with pytest.raises(pk.IndexOutOfRange, match=rf"^sigma position {bad} not in 1\.\.3$"):
+                delta(P, (1, 3, 2), k, l)
+
+
 def assert_tables_match_reference(P, sigma):
-    d1, dd = pk.led._Engine(pk.led._ranks(P, sigma)).tables()
+    rows = list(pk.led._Engine(pk.led._ranks(P, sigma)).tables())
     down, inc = position_masks(P, sigma)
     r1, r2, rd = reference_tables(down, inc)
-    for k in range(P.n):
+    assert len(rows) == P.n
+    for k, (d1, dd, _) in enumerate(rows):
         for l in range(P.n):
             key = (k, l)
-            assert (d1[k][l], dd[k][l] - d1[k][l], dd[k][l]) == (
+            assert (d1[l], dd[l] - d1[l], dd[l]) == (
                 r1.get(key, 0), r2.get(key, 0), rd.get(key, 0)
             ), (sigma, key)
+    # each row's term of the final delta sum, folded in as the row finishes
+    assert 2 * sum(term for _, _, term in rows) == reference_delta(inc, rd)
     # the breakdown's dicts: one entry per x_k below x_l, by l and then k
     b = pk.led_downset(P, sigma)
     assert list(b.delta1.items()) == [((k + 1, l + 1), v) for (k, l), v in r1.items()]
@@ -416,6 +458,22 @@ def test_engine_setup_memory_is_linear_in_the_masks():
     tracemalloc.start()
     try:
         pk.led._Engine(pk.led._ranks(P, range(1, 1025)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_500_000, peak
+
+
+def test_led_sums_keeps_no_delta1_table():
+    # the CLI's sums drop every delta1 row as it comes and fold the final
+    # delta sum into the rows.  On this prime order (one engine run, on all
+    # 200 elements) the dd table fits under the bound, and a kept delta1
+    # table with a weight list for the final sum would not (about 1.8 MB)
+    P = random_two_dim(200, random.Random(7))
+    sigma = pk.realizer(P).sigma
+    tracemalloc.start()
+    try:
+        pk.led._led_sums(P, sigma)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
