@@ -429,13 +429,10 @@ def led_upper_bound(P: Poset, cap: int = 1 << 10) -> int:
     """Quarter-count bound valid for any poset: each family of ordered
     antichain pairs sharing symmetric difference D and intersection I can
     contribute at most 2^(d-2) reversals to any pair of lattice extensions,
-    d the number of components of the subposet on D.  Needs no realizer,
-    so it also covers posets of dimension three and more."""
+    d the number of components of the subposet on D.  Such a family holds
+    2^(d-1) unordered pairs, so the bound is half the number of unordered
+    pairs whose D has two or more components.  Needs no realizer, so it
+    also covers posets of dimension three and more."""
     masks = [A for A, _ in _antichains(P, cap)]
-    classes = Counter(d for d, _ in {(a ^ b, a & b) for a, b in combinations(masks, 2)})
-    total = 0
-    for d, k in classes.items():
-        c = len(component_masks(P, d))
-        if c >= 2:
-            total += k << (c - 2)
-    return total
+    pairs = Counter(a ^ b for a, b in combinations(masks, 2))
+    return sum(k for d, k in pairs.items() if len(component_masks(P, d)) >= 2) // 2

@@ -8,7 +8,7 @@ formula in the package.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .errors import CapExceeded, ContractViolation, MismatchedGroundSets
 from .poset import (

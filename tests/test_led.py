@@ -602,3 +602,17 @@ def test_led_upper_bound_dominates_brute():
     diam, _ = pk.brute_led_downset(pk.chevron())
     assert diam == 22
     assert pk.led_upper_bound(pk.chevron()) == 24
+
+
+def test_led_upper_bound_counts_pairs_without_keeping_them():
+    # 1024 antichains, so 523 776 pairs: a count per symmetric difference
+    # stays small, a set of (A xor B, A and B) keys takes several MB
+    P = pk.antichain_poset(10)
+    tracemalloc.start()
+    try:
+        bound = pk.led_upper_bound(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bound == pk.led_downset(P).led == pk.led_boolean(10)
+    assert peak < 1 << 20

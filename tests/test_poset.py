@@ -204,6 +204,43 @@ def test_a_4096_element_chain_builds_in_under_two_seconds(ids):
     assert peak < 16 << 20
 
 
+def test_a_dense_4096_element_order_builds_in_under_two_seconds():
+    # a random 2D order straight from two seeded permutations: e < f iff
+    # x[e] < x[f] and y[e] < y[f].  Its ~4.2 M relations are too many to
+    # write as text, and each row has many covers to find
+    n, rng = 4096, random.Random(4096)
+    x, y = rng.sample(range(n), n), rng.sample(range(n), n)
+    above_x, above_y = [0] * (n + 1), [0] * (n + 1)
+    for e in range(n):
+        above_x[x[e]] |= 1 << e
+        above_y[y[e]] |= 1 << e
+    for r in range(n - 1, -1, -1):
+        above_x[r] |= above_x[r + 1]
+        above_y[r] |= above_y[r + 1]
+    rows = [above_x[x[e] + 1] & above_y[y[e] + 1] for e in range(n)]
+    assert 4_000_000 < sum(m.bit_count() for m in rows) < 4_400_000
+    started = time.perf_counter()
+    P = pk.Poset(n, rows)
+    assert time.perf_counter() - started < 2.0
+    # |down[e]| counts the f with x[f] < x[e] and y[f] < y[e]: a Fenwick tree
+    # over y, filled in increasing x
+    tree, below = [0] * (n + 1), [0] * n
+    for e in sorted(range(n), key=x.__getitem__):
+        r = y[e]
+        while r:
+            below[e] += tree[r]
+            r &= r - 1
+        r = y[e] + 1
+        while r <= n:
+            tree[r] += 1
+            r += r & -r
+    assert [m.bit_count() for m in P.down_masks] == below
+    for e in rng.sample(range(n), 8):
+        want = sum(1 << f for f in range(n) if x[f] < x[e] and y[f] < y[e])
+        assert P.down_masks[e] == want
+        assert P.inc_masks[e] == (1 << n) - 1 ^ (1 << e | want | rows[e])
+
+
 def test_poset_hash_agrees_with_equality():
     P = pk.Poset(3, [0b110, 0b100, 0])
     assert P == pk.chain(3) and hash(P) == hash(pk.chain(3))
