@@ -122,6 +122,7 @@ def _run_diametral(args) -> tuple:
     w1, w2 = _revlex_pair(P, args.max_lattice, r)
     at2 = {D: y for y, (_, D) in enumerate(w2, start=1)}
     ys = [at2[D] for _, D in w1]  # L_sigma_bar position of each downset in L_sigma order
+    del at2  # each table goes once no later step reads it: memory follows the downsets
     # each downset's member list as JSON text at depth one, rendered once
     members = _bit_sums([",\n    " + str(e) for e in P.elements()])
     texts = {D: "[" + s[1:] + "\n  ]" if (s := members(D)) else "[]" for _, D in w1}
@@ -132,8 +133,8 @@ def _run_diametral(args) -> tuple:
         "extension_1": _Json(_enclose("[]", list(texts.values()), "\n")),
         "extension_2": _Json(_enclose("[]", [texts[D] for _, D in w2], "\n")),
     }
+    del w2, texts
     if args.svg:
-        # render first: a bad --scale must not truncate an existing file.
         # The lattice is distributive, so its covers are D - a below D for
         # the maxima a the walk lists with D.  D - a comes first in L_sigma
         # (revlex), so the covers above each downset come out sorted.
@@ -144,10 +145,12 @@ def _run_diametral(args) -> tuple:
                 a = A & -A
                 above[at[D ^ a]].append(i)
                 A ^= a
-        covers = [(j, i) for j, ups in enumerate(above) for i in ups]
-        svg = _svg(list(enumerate(ys, start=1)), covers, args.scale)
+        del at, w1
+        pieces = _svg(list(enumerate(ys, start=1)), above, args.scale)
+        header = next(pieces)  # checks --scale: a bad one must not truncate an existing file
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(svg)
+            fh.write(header)
+            fh.writelines(pieces)
         result["svg"] = args.svg
     return text, result
 

@@ -191,6 +191,7 @@ class _Engine:
             left.append(row)
         dd = []
         for k in range(n):
+            left[k] = None  # rows k and on read only left[l] for l > k
             r1, rd = [0] * n, [0] * n
             dd.append(rd)
             sk = sbar[k]

@@ -18,6 +18,7 @@ import posetkit as pk
 from posetkit import cli
 
 from conftest import downset_covers, random_two_dim, shuffled_chain_union
+from reference_svg import dominance_svg as reference_svg
 
 
 def _poset_file(tmp_path, P, name="input.poset"):
@@ -207,6 +208,9 @@ def test_diametral_svg(tmp_path, capsys):
             for a, b in pk.cover_pairs(dl.lattice)
         ]
         assert content == pk.dominance_svg(coords, covers, 24)
+        # and what the single-pass reference writer draws, which shares no
+        # code with the streamed writer the CLI and dominance_svg both use
+        assert content == reference_svg(coords, covers, 24)
 
 
 def test_diametral_svg_at_benchmark_size(tmp_path, capsys):
@@ -223,9 +227,30 @@ def test_diametral_svg_at_benchmark_size(tmp_path, capsys):
         assert out.splitlines(True) == dump.splitlines(True)
         L1, L2 = pk.diametral_pair(P)
         assert len(L1.order) in (1000, 1024)
-        want = pk.dominance_svg(pk.dominance_coordinates(L1, L2),
-                                downset_covers(P, L1.order), 24)
-        assert svg_path.read_text(encoding="utf-8").splitlines(True) == want.splitlines(True)
+        coords, covers = pk.dominance_coordinates(L1, L2), downset_covers(P, L1.order)
+        want = pk.dominance_svg(coords, covers, 24)
+        got = svg_path.read_text(encoding="utf-8").splitlines(True)
+        assert got == want.splitlines(True)
+        assert got == reference_svg(coords, covers, 24).splitlines(True)
+
+
+def test_diametral_svg_memory_does_not_grow_with_the_drawing(tmp_path, capsys):
+    # the drawing goes to the file piece by piece, one downset's covers at
+    # a time, and the walk's tables go before it starts.  On the 11-point
+    # antichain (2048 downsets, 11 264 covers) the tracemalloc peak stays
+    # under the bound; holding the whole drawing, as one list of lines and
+    # then joined, took about 6 MB
+    path = _poset_file(tmp_path, pk.antichain_poset(11))
+    svg_path = tmp_path / "picture.svg"
+    tracemalloc.start()
+    try:
+        code, out, err = _run(capsys, ["diametral", path, "--svg", str(svg_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert svg_path.read_text(encoding="utf-8").count("<line ") == 11 * 2 ** 10
+    assert peak < 2_500_000, peak
 
 
 def test_diametral_bad_scale_leaves_an_existing_svg_alone(tmp_path, capsys):
