@@ -2,7 +2,8 @@
 
 JSON goes to stdout and is byte-deterministic for a fixed command line and
 input file; SVG drawings go to the path given.  Exit codes: 0 success,
-1 parse or usage problems, 2 not two-dimensional, 3 a cap was exceeded.
+1 parse or usage problems, 2 not two-dimensional, 3 a cap was exceeded
+or the command ran out of memory.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 
@@ -40,30 +42,27 @@ def _cap(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text}")
 
 
-class _Json(str):
-    """JSON text laid out as _dumps lays out a top-level value."""
+class _Json(list):
+    """A JSON array's items as text, laid out as items of a top-level array."""
 
 
-def _enclose(brackets: str, items: list, pad: str) -> str:
-    """The indent=2 layout of a JSON array or object whose items are
-    rendered one level below pad (a newline and the current indent)."""
-    if not items:
-        return brackets
-    inner = pad + "  "
-    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
-
-
-def _dumps(value, pad: str = "\n") -> str:
-    """The text of json.dumps(value, sort_keys=True, indent=2), with each
-    _Json value that dicts with string keys lead to written as given.
+def _dumps(value, pad: str = "\n"):
+    """The text of json.dumps(value, sort_keys=True, indent=2) in a few
+    pieces (an unbuffered stdout makes each a write call): a dict with a
+    dict or _Json value is walked key by key, a _Json value is its items
+    joined and indented as it is written, and any other value is one piece.
     Every value is indented to its depth: JSON escapes the newlines inside
     strings, so every newline in JSON text stands between tokens."""
-    if isinstance(value, dict):
+    if isinstance(value, dict) and any(isinstance(v, (dict, _Json)) for v in value.values()):
         inner = pad + "  "
-        items = [json.dumps(k) + ": " + _dumps(value[k], inner) for k in sorted(value)]
-        return _enclose("{}", items, pad)
-    text = value if isinstance(value, _Json) else json.dumps(value, sort_keys=True, indent=2)
-    return text.replace("\n", pad)
+        for i, k in enumerate(sorted(value)):
+            yield ("," if i else "{") + inner + json.dumps(k) + ": "
+            yield from _dumps(value[k], inner)
+        yield pad + "}"
+    elif isinstance(value, _Json) and value:
+        yield ("[\n  " + ",\n  ".join(value) + "\n]").replace("\n", pad)
+    else:
+        yield json.dumps(value, sort_keys=True, indent=2).replace("\n", pad)
 
 
 def _dec(v: int) -> str:
@@ -120,37 +119,43 @@ def _run_diametral(args) -> tuple:
     text, P = _load(args.file)
     r = realizer(P)
     w1, w2 = _revlex_pair(P, args.max_lattice, r)
-    at2 = {D: y for y, (_, D) in enumerate(w2, start=1)}
-    ys = [at2[D] for _, D in w1]  # L_sigma_bar position of each downset in L_sigma order
-    del at2  # each table goes once no later step reads it: memory follows the downsets
+    at = {D: i for i, (_, D) in enumerate(w1)}  # each downset's index in L_sigma
+    xs = [at[D] for _, D in w2]  # L_sigma indices in L_sigma_bar order
+    del w2  # each table goes once no later step reads it: memory follows the downsets
     # each downset's member list as JSON text at depth one, rendered once
     members = _bit_sums([",\n    " + str(e) for e in P.elements()])
-    texts = {D: "[" + s[1:] + "\n  ]" if (s := members(D)) else "[]" for _, D in w1}
+    texts = _Json("[" + s[1:] + "\n  ]" if (s := members(D)) else "[]" for _, D in w1)
     result = {
         "sigma": list(r.sigma),
         "sigma_bar": list(r.sigma_bar),
-        "distance": _dec(_inversions(ys)),
-        "extension_1": _Json(_enclose("[]", list(texts.values()), "\n")),
-        "extension_2": _Json(_enclose("[]", [texts[D] for _, D in w2], "\n")),
+        "distance": _dec(_inversions([x + 1 for x in xs])),  # inverting keeps inversions
+        "extension_1": texts,
+        "extension_2": _Json(texts[x] for x in xs),
     }
-    del w2, texts
     if args.svg:
+        points = [None] * len(xs)  # (L_sigma rank, L_sigma_bar rank) in L_sigma order
+        for y, x in enumerate(xs, start=1):
+            points[x] = (x + 1, y)
         # The lattice is distributive, so its covers are D - a below D for
         # the maxima a the walk lists with D.  D - a comes first in L_sigma
         # (revlex), so the covers above each downset come out sorted.
-        at, above = {}, [[] for _ in w1]
+        above = [[] for _ in w1]
         for i, (A, D) in enumerate(w1):
-            at[D] = i
             while A:
                 a = A & -A
                 above[at[D ^ a]].append(i)
                 A ^= a
         del at, w1
-        pieces = _svg(list(enumerate(ys, start=1)), above, args.scale)
+        pieces = _svg(points, above, args.scale)
         header = next(pieces)  # checks --scale: a bad one must not truncate an existing file
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(header)
-            fh.writelines(pieces)
+        fh = open(args.svg, "w", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(header)
+                fh.writelines(pieces)
+        except BaseException:  # a truncated drawing must not look like a whole one
+            os.remove(args.svg)
+            raise
         result["svg"] = args.svg
     return text, result
 
@@ -254,6 +259,9 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"posetkit: cap exceeded: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("posetkit: out of memory", file=sys.stderr)
+        return 3
     except (PosetkitError, OSError, ValueError) as exc:
         print(f"posetkit: {exc}", file=sys.stderr)
         return 1
@@ -264,7 +272,8 @@ def main(argv=None) -> int:
         "result": result,
         "version": __version__,
     }
-    sys.stdout.write(_dumps(report) + "\n")
+    sys.stdout.writelines(_dumps(report))
+    sys.stdout.write("\n")
     if args.verbose:
         elapsed = (time.monotonic() - started) * 1000.0
         print(f"posetkit: elapsed_ms={elapsed:.1f}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
 import decimal
 import hashlib
 import importlib
@@ -271,6 +272,75 @@ def test_diametral_matches_led_downset(tmp_path, capsys):
     distance = int(_payload(out)["result"]["distance"])
     code, out, err = _run(capsys, ["led-downset", path])
     assert distance == int(_payload(out)["result"]["led"])
+
+
+def test_diametral_distance_on_random_orders(tmp_path, capsys):
+    # the CLI counts the inversions of the inverse of the library's index
+    # map; a map that is its own inverse would not tell the two apart
+    involutive = []
+    for n in range(2, 13):
+        P = random_two_dim(n, random.Random(100 + n))
+        code, out, err = _run(capsys, ["diametral", _poset_file(tmp_path, P)])
+        assert code == 0
+        L1, L2 = pk.diametral_pair(P)
+        distance = int(_payload(out)["result"]["distance"])
+        assert distance == pk.reversal_distance(L1, L2) == pk.led_downset(P).led
+        ys = [L2.index[d] for d in L1.order]
+        involutive.append(all(ys[y - 1] == x for x, y in enumerate(ys, start=1)))
+    assert not all(involutive)
+
+
+class _CountingWriter:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.length = 0
+
+    def write(self, text):
+        self.length += len(text)
+
+    def writelines(self, pieces):
+        for text in pieces:
+            self.write(text)
+
+
+def test_diametral_report_memory_does_not_grow_with_the_report(tmp_path, capsys):
+    # the report goes to stdout in pieces, and each extension is a list of
+    # per-downset texts joined only as it is written, so on the 14-point
+    # antichain (16 384 downsets) the tracemalloc peak stays under three
+    # times the report's length; building the whole report string and its
+    # copy with the newline took about 3.7 times
+    path = _poset_file(tmp_path, pk.antichain_poset(14))
+    writer = _CountingWriter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(writer):
+            code = cli.main(["diametral", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 * writer.length, (peak, writer.length)
+
+
+def test_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):
+    # a MemoryError in a command is one stderr line and exit 3, and a
+    # drawing cut short by it is removed, not left truncated
+    def svg(points, above, scale):
+        yield "<svg>"
+        raise MemoryError
+
+    def led_sums(P, sigma):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_svg", svg)
+    monkeypatch.setattr(cli, "_led_sums", led_sums)
+    path = _poset_file(tmp_path, pk.chain_union([2, 2]))
+    svg_path = tmp_path / "picture.svg"
+    for argv in (["diametral", path, "--svg", str(svg_path)], ["led-downset", path]):
+        code, out, err = _run(capsys, argv)
+        assert (code, out, err) == (3, "", "posetkit: out of memory\n")
+        assert not svg_path.exists()
 
 
 # ---------------------------------------------------------------------------
