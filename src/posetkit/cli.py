@@ -2,8 +2,8 @@
 
 JSON goes to stdout and is byte-deterministic for a fixed command line and
 input file; SVG drawings go to the path given.  Exit codes: 0 success,
-1 parse or usage problems, 2 not two-dimensional, 3 a cap was exceeded
-or the command ran out of memory.
+1 parse or usage problems or a stdout closed early, 2 not two-dimensional,
+3 a cap was exceeded or the command ran out of memory.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import os
+import stat
 import sys
 import time
 
@@ -133,9 +134,9 @@ def _run_diametral(args) -> tuple:
         "extension_2": _Json(texts[x] for x in xs),
     }
     if args.svg:
-        points = [None] * len(xs)  # (L_sigma rank, L_sigma_bar rank) in L_sigma order
-        for y, x in enumerate(xs, start=1):
-            points[x] = (x + 1, y)
+        ys = [0] * len(xs)  # the inverse of xs: downset i is drawn at (i + 1, ys[i] + 1)
+        for y, x in enumerate(xs):
+            ys[x] = y
         # The lattice is distributive, so its covers are D - a below D for
         # the maxima a the walk lists with D.  D - a comes first in L_sigma
         # (revlex), so the covers above each downset come out sorted.
@@ -146,15 +147,17 @@ def _run_diametral(args) -> tuple:
                 above[at[D ^ a]].append(i)
                 A ^= a
         del at, w1
-        pieces = _svg(points, above, args.scale)
+        pieces = _svg(range(1, len(ys) + 1), range(len(ys)), ys, above, args.scale)
         header = next(pieces)  # checks --scale: a bad one must not truncate an existing file
         fh = open(args.svg, "w", encoding="utf-8")
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # not a FIFO or a device
         try:
             with fh:
                 fh.write(header)
                 fh.writelines(pieces)
         except BaseException:  # a truncated drawing must not look like a whole one
-            os.remove(args.svg)
+            if regular:
+                os.remove(args.svg)
             raise
         result["svg"] = args.svg
     return text, result
@@ -281,7 +284,13 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a reader that closed early shows here, not at exit
+    except BrokenPipeError:  # exit 1, no traceback; the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

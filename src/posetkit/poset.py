@@ -309,21 +309,23 @@ def _antichains(P: Poset, cap: int, order: Sequence[int] = ()):
         at = {j: 1 << p for p, j in enumerate(ids)}
         inc = [sum(at[q] for q in _bits(inc[j])) for j in ids]
     count, down = 1, P._down
-    # depth-first; a frame is an antichain, its closure, and the positions
-    # listed (tried) and to list (untried) below its members, incomparable to it
-    stack = [(0, 0, 0, (1 << P.n) - 1)]
+    # depth-first; a frame is an antichain, its closure, and the positions listed
+    # (tried) and to list (untried, never 0) below its members, incomparable to it
+    stack = [(0, 0, 0, (1 << P.n) - 1)] if P.n else []
     while stack:
         A, D, tried, untried = stack.pop()
-        if untried:
-            if count >= cap:
-                raise CapExceeded(f"more than {cap} antichains")
-            count += 1
-            low = untried & -untried
-            p = low.bit_length() - 1
-            j = ids[p]
-            A2, D2 = A | 1 << j, D | 1 << j | down[j]
-            yield A2, D2
-            stack += [(A, D, tried | low, untried ^ low), (A2, D2, 0, tried & inc[p])]
+        if count >= cap:
+            raise CapExceeded(f"more than {cap} antichains")
+        count += 1
+        low = untried & -untried
+        p = low.bit_length() - 1
+        j = ids[p]
+        A2, D2 = A | 1 << j, D | 1 << j | down[j]
+        yield A2, D2
+        if untried := untried ^ low:
+            stack.append((A, D, tried | low, untried))
+        if tried := tried & inc[p]:
+            stack.append((A2, D2, 0, tried))
 
 
 def enumerate_antichains(P: Poset, cap: int = DEFAULT_CAP) -> list:

@@ -7,8 +7,10 @@ import importlib
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from pathlib import Path
@@ -323,17 +325,18 @@ def test_diametral_report_memory_does_not_grow_with_the_report(tmp_path, capsys)
     assert peak < 3 * writer.length, (peak, writer.length)
 
 
+def _svg_header_then_out_of_memory(*args):
+    yield "<svg>"
+    raise MemoryError
+
+
 def test_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):
     # a MemoryError in a command is one stderr line and exit 3, and a
     # drawing cut short by it is removed, not left truncated
-    def svg(points, above, scale):
-        yield "<svg>"
-        raise MemoryError
-
     def led_sums(P, sigma):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "_svg", svg)
+    monkeypatch.setattr(cli, "_svg", _svg_header_then_out_of_memory)
     monkeypatch.setattr(cli, "_led_sums", led_sums)
     path = _poset_file(tmp_path, pk.chain_union([2, 2]))
     svg_path = tmp_path / "picture.svg"
@@ -341,6 +344,50 @@ def test_out_of_memory_exits_three(tmp_path, capsys, monkeypatch):
         code, out, err = _run(capsys, argv)
         assert (code, out, err) == (3, "", "posetkit: out of memory\n")
         assert not svg_path.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_failed_drawing_leaves_a_fifo_in_place(tmp_path, capsys, monkeypatch):
+    # only a regular file the CLI wrote is removed when the drawing fails;
+    # a FIFO (or a device) given as --svg stays where it is
+    monkeypatch.setattr(cli, "_svg", _svg_header_then_out_of_memory)
+    fifo = tmp_path / "picture.svg"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        code, out, err = _run(capsys, ["diametral", _poset_file(tmp_path, pk.chain_union([2, 2])),
+                                       "--svg", str(fifo)])
+    finally:
+        reader.join(timeout=30)
+        if reader.is_alive():  # the CLI never opened the FIFO: let the reader go
+            with open(fifo, "wb"):
+                pass
+            reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert (code, out, err) == (3, "", "posetkit: out of memory\n")
+    assert received == [b"<svg>"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_reader_that_closes_early_gets_exit_one_and_no_traceback(tmp_path, unbuffered):
+    # the 12-point antichain's report is far longer than a pipe holds, so
+    # the CLI is still writing when its reader closes after 100 bytes
+    env = dict(os.environ, PYTHONPATH=str(Path(pk.__file__).resolve().parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    path = _poset_file(tmp_path, pk.antichain_poset(12))
+    with subprocess.Popen([sys.executable, "-m", "posetkit.cli", "diametral", path],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as child:
+        head = child.stdout.read(100)
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        code = child.wait(timeout=60)
+    assert head.startswith(b"{")
+    assert (code, err) == (1, ""), err[-400:]
 
 
 # ---------------------------------------------------------------------------

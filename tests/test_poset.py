@@ -393,6 +393,24 @@ def test_antichain_walk_in_any_order_lists_each_antichain_once():
     assert tried > 20
 
 
+def test_antichain_walk_in_realizer_order_is_colex_and_capped_exactly():
+    # in either order of a realizer, the walk yields every antichain with
+    # its closure in colex order of the members' positions, and a cap of
+    # one less than the count stops it
+    rng = random.Random(30)
+    posets = [P for n in range(1, 5) for P in all_posets_upto_iso(n)]
+    posets += [random_two_dim(rng.randint(1, 12), rng) for _ in range(40)]
+    for P in posets:
+        r = pk.realizer(P)
+        for order in (r.sigma, r.sigma_bar):
+            pos = {e: p for p, e in enumerate(order)}
+            colex = sorted(brute_antichains(P), key=lambda A: sum(1 << pos[e] for e in A))
+            want = [(_mask_of(P.n, A), _mask_of(P.n, pk.downset_of(P, A))) for A in colex]
+            assert list(_antichains(P, len(want), order)) == want
+            with pytest.raises(pk.CapExceeded):
+                list(_antichains(P, len(want) - 1, order))
+
+
 def test_antichain_count_matches_subset_filter():
     for P in all_posets_upto_iso(4):
         assert len(pk.enumerate_antichains(P)) == len(brute_antichains(P))
