@@ -23,7 +23,7 @@ from .led import count_antichains as count_table
 from .poset import DEFAULT_CAP, _load
 from .realizer import realizer
 from .revlex import _inversions, _revlex_pair
-from .svg import _svg
+from .svg import _ends, _svg
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,24 +137,23 @@ def _run_diametral(args) -> tuple:
         ys = [0] * len(xs)  # the inverse of xs: downset i is drawn at (i + 1, ys[i] + 1)
         for y, x in enumerate(xs):
             ys[x] = y
+        # a bad --scale raises here, before an existing file is truncated
+        q, ends = _ends(range(1, len(ys) + 1), range(len(ys)), ys, args.scale)
         # The lattice is distributive, so its covers are D - a below D for
         # the maxima a the walk lists with D.  D - a comes first in L_sigma
         # (revlex), so the covers above each downset come out sorted.
         above = [[] for _ in w1]
-        for i, (A, D) in enumerate(w1):
+        for (A, D), end in zip(w1, ends):
             while A:
                 a = A & -A
-                above[at[D ^ a]].append(i)
+                above[at[D ^ a]].append(end)
                 A ^= a
-        del at, w1
-        pieces = _svg(range(1, len(ys) + 1), range(len(ys)), ys, above, args.scale)
-        header = next(pieces)  # checks --scale: a bad one must not truncate an existing file
+        del at, w1, ends
         fh = open(args.svg, "w", encoding="utf-8")
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # not a FIFO or a device
         try:
             with fh:
-                fh.write(header)
-                fh.writelines(pieces)
+                fh.writelines(_svg(q, range(len(ys)), ys, above, args.scale))
         except BaseException:  # a truncated drawing must not look like a whole one
             if regular:
                 os.remove(args.svg)

@@ -303,12 +303,14 @@ def _antichains(P: Poset, cap: int, order: Sequence[int] = ()):
     if P.n and 1 << max(sum(not m for m in P._down), sum(not m for m in P._up)) > cap:
         raise CapExceeded(f"more than {cap} antichains")
     yield 0, 0
-    # x_p is element ids[p] + 1; inc[p]: the positions incomparable to x_p
+    # x_p is element ids[p] + 1, bit[p] its mask and close[p] the mask of its
+    # down-closure; inc[p]: the positions incomparable to x_p
     ids, inc = [e - 1 for e in order] or range(P.n), P._inc
     if order:  # relabelled once per walk, O(incomparable pairs)
         at = {j: 1 << p for p, j in enumerate(ids)}
         inc = [sum(at[q] for q in _bits(inc[j])) for j in ids]
-    count, down = 1, P._down
+    bit, close = [1 << j for j in ids], [1 << j | P._down[j] for j in ids]
+    count = 1
     # depth-first; a frame is an antichain, its closure, and the positions listed
     # (tried) and to list (untried, never 0) below its members, incomparable to it
     stack = [(0, 0, 0, (1 << P.n) - 1)] if P.n else []
@@ -319,8 +321,7 @@ def _antichains(P: Poset, cap: int, order: Sequence[int] = ()):
         count += 1
         low = untried & -untried
         p = low.bit_length() - 1
-        j = ids[p]
-        A2, D2 = A | 1 << j, D | 1 << j | down[j]
+        A2, D2 = A | bit[p], D | close[p]
         yield A2, D2
         if untried := untried ^ low:
             stack.append((A, D, tried | low, untried))
