@@ -4,6 +4,12 @@ JSON goes to stdout and is byte-deterministic for a fixed command line and
 input file; SVG drawings go to the path given.  Exit codes: 0 success,
 1 parse or usage problems or a stdout closed early, 2 not two-dimensional,
 3 a cap was exceeded or the command ran out of memory.
+
+A command line that starts with a command is parsed by that command's
+parser alone.  The parser with every command hands the words after the
+command to a subparser built the same way, and reports only the words it
+leaves over.  So that full parser is built only for a line with no leading
+command, or with words left over, and prints the same help and errors.
 """
 
 from __future__ import annotations
@@ -228,30 +234,41 @@ _COMMANDS = {
 }
 
 
-def _build_parser(argv: list) -> _Parser:
-    """The parser of argv.  When argv starts with a command, it holds that
-    command's subparser alone, under the metavar that lists them all, so
-    its usage and error lines are those of the parser with every command.
-    Otherwise it holds every subparser: the top-level help lists them, and
-    a missing or unknown command is reported by the dest, `command`."""
+def _arguments(s: _Parser, name: str) -> _Parser:
+    """s with the arguments and the run function of the command name."""
+    _, run, arguments = _COMMANDS[name]
+    for flag, options in arguments:
+        s.add_argument(flag, **options)
+    s.set_defaults(run=run)
+    return s
+
+
+def _build_parser() -> _Parser:
+    """The parser with every command: the top-level help lists them, and a
+    missing or unknown command is reported by the dest, `command`."""
     p = _Parser(prog="posetkit")
     p.add_argument("--verbose", action="store_true",
                    help="print a timing line to stderr")
-    one = argv[:1] if argv and argv[0] in _COMMANDS else []
-    sub = p.add_subparsers(dest="command", required=True,
-                           metavar="{" + ",".join(_COMMANDS) + "}" if one else None)
-    for name in one or _COMMANDS:
-        help_text, run, arguments = _COMMANDS[name]
-        s = sub.add_parser(name, help=help_text)
-        for flag, options in arguments:
-            s.add_argument(flag, **options)
-        s.set_defaults(run=run)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _arguments(sub.add_parser(name, help=help_text), name)
     return p
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """The namespace of argv, as the full parser gives it (see above)."""
+    if argv and argv[0] in _COMMANDS:
+        s = _arguments(_Parser(prog="posetkit " + argv[0]), argv[0])
+        s.set_defaults(command=argv[0], verbose=False)
+        args, rest = s.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _parse(argv)
     started = time.monotonic()
     try:
         source, result = args.run(args)

@@ -45,6 +45,17 @@ def all_posets_upto_iso(n):
     return out
 
 
+def two_dim_orders(n):
+    """(tau, P_tau) for every permutation tau of 1..n: a < b in P_tau iff
+    a < b as integers and a comes before b in tau.  A 2D order is the
+    intersection of two linear orders; numbering the points along the
+    first makes it one of these, so they run over every order of dimension
+    at most two on n points, up to isomorphism."""
+    for tau in itertools.permutations(range(1, n + 1)):
+        yield tau, pk.poset_from_relations(
+            n, [(a, b) for i, a in enumerate(tau) for b in tau[i + 1:] if a < b])
+
+
 def random_two_dim(n, rng):
     """Intersection of two random permutation orders: 2-dimensional (or
     less) by construction."""

@@ -701,20 +701,86 @@ def test_verbose_timing_goes_to_stderr(capsys):
 
 
 def test_main_prints_what_the_parser_with_every_command_prints(tmp_path, capsys):
-    # main builds only the subparser of the command argv starts with: its
-    # usage, help, errors and exit codes must be those of the full parser
+    # main parses a command line that starts with a command by that
+    # command's parser alone: its usage, help, errors, exit codes and
+    # namespaces must be those of the parser with every command
     f = _poset_file(tmp_path, pk.chain(2))
-    for argv in ([], ["nope"], ["-h"],
-                 ["--verbose=1", "led-downset", f],
-                 ["led-downset"], ["led-downset", f, "--bogus"], ["led-downset", "-h"],
-                 ["count-antichains", f, "extra"],
-                 ["diametral", f, "--max-lattice", "0"]):
+    svg = str(tmp_path / "out.svg")
+    for argv in ([], ["nope"], ["-h"], ["-hx"], ["--verbose"], ["nope", "-h"],
+                 ["--", "led-bool", "3"], ["--verbose=1", "led-downset", f],
+                 # --verbose after a command, -h after other words
+                 ["led-bool", "3", "--verbose"], ["led-downset", "--verbose", f],
+                 ["led-downset", f, "--verbose", "-h"], ["led-bool", "-h", "3"],
+                 ["led-downset", "-hx"], ["led-chains", "2,1", "-h"],
+                 ["count-antichains", "-h", f],
+                 # an unknown option before the file, words left over
+                 ["led-downset", "--bogus", f], ["led-downset", "-x", f],
+                 ["led-downset", f, "--bogus"], ["led-downset", f, "extra"],
+                 ["led-bool", "3", "4"], ["oracle", f, "critical", "x"],
+                 # -- in every position
+                 ["count-antichains", f, "--", "x"], ["led-downset", f, "--", "--breakdown"],
+                 ["led-downset", "--", "--", f],
+                 # a missing argument for each command
+                 ["led-bool"], ["led-downset"], ["diametral"], ["diametral", "--svg", svg],
+                 ["diametral", f, "--svg"], ["diametral", f, "--scale"], ["oracle"],
+                 ["oracle", f], ["count-antichains"], ["led-chains"],
+                 # invalid choices and ints, ambiguous and =-form options
+                 ["led-bool", "x"], ["oracle", f, "nope"], ["oracle", f, "critical", "--cap", "x"],
+                 ["oracle", f, "critical", "--cap", "0"], ["diametral", f, "--max-lattice", "0"],
+                 ["diametral", f, "--scale", "x"], ["diametral", f, "--s", "x"],
+                 ["led-downset", "--breakdown=yes", f]):
         seen = []
-        for parse in (cli.main, cli._build_parser([]).parse_args):
+        for parse in (cli.main, cli._build_parser().parse_args):
             with pytest.raises(SystemExit) as exc:
                 parse(argv)
             seen.append((exc.value.code, *capsys.readouterr()))
         assert seen[0] == seen[1], argv
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line.split("#")[0].split()[1:] for line in readme.read_text().splitlines()
+             if line.startswith("posetkit ")]
+    assert len(lines) == 10
+    for argv in (*lines,
+                 # the bench's command shapes
+                 ["led-downset", f, "--breakdown"], ["led-downset", f, "--upper-bound-only"],
+                 ["led-downset", f], ["count-antichains", f], ["diametral", f],
+                 ["diametral", f, "--svg", svg],
+                 # abbreviations, = forms and -- in every position
+                 ["led-downset", f, "--break"], ["led-downset", f, "--upper"],
+                 ["diametral", f, "--max", "5"], ["oracle", f, "critical", "--ca", "5"],
+                 ["diametral", f, "--svg=" + svg], ["oracle", f, "classes", "--cap=5"],
+                 ["diametral", f, "--max-lattice=2", "--sv", svg, "--scale", "3"],
+                 ["led-downset", f, "--"], ["led-downset", "--", f], ["led-bool", "--", "3"],
+                 ["led-bool", "-3"], ["led-bool", "3", "--"], ["led-chains", "--", "-1"],
+                 ["oracle", f, "--", "critical"], ["oracle", "--cap", "2", f, "classes"],
+                 ["--verbose", "led-bool", "3"], ["--verb", "led-bool", "3"]):
+        assert vars(cli._parse(argv)) == vars(cli._build_parser().parse_args(argv)), argv
+
+
+def test_a_command_line_with_a_command_builds_one_parser(tmp_path, capsys, monkeypatch):
+    # the full parser, with a subparser per command, is built only for the
+    # top-level help and usage errors
+    progs = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            progs.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    f = _poset_file(tmp_path, pk.chain(2))
+    for argv in (["led-bool", "3"], ["led-downset", f, "--breakdown"], ["diametral", f],
+                 ["oracle", f, "critical"], ["count-antichains", f], ["led-chains", "2,1"]):
+        progs.clear()
+        assert cli.main(argv) == 0
+        assert progs == ["posetkit " + argv[0]], argv
+    full = ["posetkit", *("posetkit " + name for name in cli._COMMANDS)]
+    for argv, built in (([], full), (["-h"], full),
+                        (["led-downset", f, "extra"], ["posetkit led-downset", *full])):
+        progs.clear()
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        assert progs == built, argv
+    capsys.readouterr()
 
 
 def _fresh_interpreter(probe: str) -> str:
