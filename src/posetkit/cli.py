@@ -85,16 +85,16 @@ def _dec(v: int) -> str:
 def _run_led_bool(args) -> tuple:
     if not 1 <= args.n <= 10 ** 4:
         raise ValueError("n must lie in 1..10000")
-    return str(args.n), {"led": _dec(led_boolean(args.n))}
+    return hashlib.sha256(str(args.n).encode()).hexdigest(), {"led": _dec(led_boolean(args.n))}
 
 
 def _run_led_downset(args) -> tuple:
-    text, P = _load(args.file)
+    P, digest = _load(args.file)
     if args.upper_bound_only:
-        return text, {"upper_bound": _dec(led_upper_bound(P))}
+        return digest, {"upper_bound": _dec(led_upper_bound(P))}
     sums = _led_sums(P, realizer(P).sigma)
     result = dict(zip(("alpha", "beta", "gamma", "delta", "led"), map(_dec, sums)))
-    return text, result if args.breakdown else {"led": result["led"]}
+    return digest, result if args.breakdown else {"led": result["led"]}
 
 
 def _bit_sums(values: list):
@@ -123,7 +123,7 @@ def _bit_sums(values: list):
 
 
 def _run_diametral(args) -> tuple:
-    text, P = _load(args.file)
+    P, digest = _load(args.file)
     r = realizer(P)
     w1, w2 = _revlex_pair(P, args.max_lattice, r)
     at = {D: i for i, (_, D) in enumerate(w1)}  # each downset's index in L_sigma
@@ -165,13 +165,13 @@ def _run_diametral(args) -> tuple:
                 os.remove(args.svg)
             raise
         result["svg"] = args.svg
-    return text, result
+    return digest, result
 
 
 def _run_oracle(args) -> tuple:
     from .oracle import critical_pairs, enumerate_classes, le_graph_diameter
 
-    text, P = _load(args.file)
+    P, digest = _load(args.file)
     if args.mode == "diameter":
         diam, pairs = le_graph_diameter(P, args.cap)
         result = {
@@ -193,14 +193,14 @@ def _run_oracle(args) -> tuple:
         }
     else:
         result = {"critical_pairs": [[c.x, c.y] for c in critical_pairs(P)]}
-    return text, result
+    return digest, result
 
 
 def _run_count_antichains(args) -> tuple:
-    text, P = _load(args.file)
+    P, digest = _load(args.file)
     sigma = realizer(P).sigma
     table = count_table(P, sigma)
-    return text, {
+    return digest, {
         "total": _dec(table.total),
         "per_element": {str(e): _dec(v) for e, v in sorted(table.per_element.items())},
     }
@@ -211,7 +211,8 @@ def _run_led_chains(args) -> tuple:
         lengths = [int(tok) for tok in args.lengths.split(",")]
     except ValueError:
         raise ValueError(f"bad length list {args.lengths!r}")
-    return args.lengths, {"led": _dec(led_chain_union(lengths))}
+    led = led_chain_union(lengths)
+    return hashlib.sha256(args.lengths.encode()).hexdigest(), {"led": _dec(led)}
 
 
 # command -> (help, run function, its arguments as (name or flag, options))
@@ -271,7 +272,7 @@ def main(argv=None) -> int:
     args = _parse(argv)
     started = time.monotonic()
     try:
-        source, result = args.run(args)
+        digest, result = args.run(args)
     except NotTwoDimensional as exc:
         print(f"posetkit: not two-dimensional: {exc}", file=sys.stderr)
         return 2
@@ -287,7 +288,7 @@ def main(argv=None) -> int:
     report = {
         "command": args.command,
         "argv": argv,
-        "input_sha256": hashlib.sha256(source.encode("utf-8")).hexdigest(),
+        "input_sha256": digest,
         "result": result,
         "version": __version__,
     }

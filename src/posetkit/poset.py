@@ -8,6 +8,7 @@ after construction, so everything in here is safe to share across threads.
 from __future__ import annotations
 
 import re
+from itertools import chain as _chain
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -26,10 +27,6 @@ DEFAULT_CAP = 1 << 20
 # Building them costs O(log n) big-int steps per cover: 0.03-0.05 s for a
 # 4096-element chain under any labelling, about 0.2 s for a random 2D order.
 MAX_ELEMENTS = 4096
-
-# the breaks of str.splitlines ("\r\n" aside); _LINE matches a line and its break
-_BREAKS = "\n\r\v\f\x1c-\x1e\x85\u2028\u2029"
-_LINE = re.compile(f"[^{_BREAKS}]*(\r\n|[{_BREAKS}])?")
 
 
 def _check_index(n: int, e: int) -> None:
@@ -406,17 +403,16 @@ def parse_poset(text: str) -> Poset:
 
     Comment lines start with '#'.  The first significant line is
     'poset <n>', every following line '<i> < <j>' with 1-based ids, lines
-    broken as by str.splitlines.  The relation lines are split only once
-    poset_from_relations asks for them, so an oversized n is refused first.
-    """
-    n, end, lineno = _header(text)
-    return poset_from_relations(n, _relations(text, end, lineno))
+    broken as by str.splitlines.  The text is cut at each "\n", which ends a
+    line whatever follows, as the parse reads on: an oversized n is refused first."""
+    return _parse(m[0].splitlines() for m in re.finditer("[^\n]*\n?", text))
 
 
-def _header(text: str) -> tuple:
-    """n, and where the header line of text ends and its line number."""
-    for lineno, line in enumerate(_LINE.finditer(text), start=1):
-        if (tokens := line[0].split()) and not tokens[0].startswith("#"):
+def _parse(blocks: Iterable[list]) -> Poset:
+    """The poset of the format's lines, given in lists taken one at a time."""
+    numbered = enumerate(_chain.from_iterable(blocks), start=1)
+    for lineno, line in numbered:
+        if (tokens := line.split()) and not tokens[0].startswith("#"):
             break
     else:
         raise PosetFormatError("missing 'poset <n>' header")
@@ -428,14 +424,13 @@ def _header(text: str) -> tuple:
         raise PosetFormatError(f"line {lineno}: bad element count {tokens[1]!r}")
     if n < 0:
         raise PosetFormatError(f"line {lineno}: negative element count")
-    return n, line.end(), lineno
+    return poset_from_relations(n, _relations(numbered))
 
 
-def _relations(text, pos, lineno):
-    """The pairs (i, j) of the lines '<i> < <j>' of text[pos:], line lineno + 1 on."""
-    for lineno, raw in enumerate(text[pos:].splitlines(), start=lineno + 1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
+def _relations(numbered):
+    """The pairs (i, j) of the numbered lines '<i> < <j>'."""
+    for lineno, line in numbered:
+        if not (tokens := line.split()) or tokens[0].startswith("#"):
             continue
         if len(tokens) != 3 or tokens[1] != "<":
             raise PosetFormatError(f"line {lineno}: expected '<i> < <j>'")
@@ -454,23 +449,27 @@ def format_poset(P: Poset) -> str:
 
 
 def _load(path) -> tuple:
-    """The text of the file at path, as text mode reads it, and its poset.
-    The lines up to the header come first, so an oversized n is refused
-    before the rest is read."""
+    """The poset of the file at path and the sha256 hex digest of its text as
+    text mode reads it, in one pass over blocks of whole lines: memory follows
+    the poset, not the file.  A block that is not UTF-8 hands over its lines up
+    to the "\n" before its bad byte, then raises the whole file's decode error."""
+    import hashlib  # here, so that `import posetkit` does not load it
+    digest = hashlib.sha256()
+
+    def blocks(fh):
+        size, offset = 1 << 10, 0  # doubling to 64 KiB: little is read past a header
+        while block := fh.read(size) + fh.readline():
+            digest.update(block.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
+            try:
+                yield block.decode().splitlines()
+            except UnicodeDecodeError as exc:
+                yield block[:block.rfind(b"\n", 0, exc.start) + 1].decode().splitlines()
+                (bytes(offset) + block).decode()  # raises: NULs decode, so at the file offset
+            size, offset = min(2 * size, 1 << 16), offset + len(block)
+
     with open(path, "rb") as fh:
-        head = []
-        for line in fh:
-            head.append(line)
-            if any((t := s.split()) and not t[0].startswith("#")
-                   for s in line.decode("utf-8", "replace").splitlines()):
-                break
-        data = b"".join(head)
-        if (n := _header(data.decode("utf-8"))[0]) > MAX_ELEMENTS:
-            poset_from_relations(n, ())  # raises CapExceeded
-        data += fh.read()
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
-    return text, parse_poset(text)
+        return _parse(blocks(fh)), digest.hexdigest()
 
 
 def load_poset(path) -> Poset:
-    return _load(path)[1]
+    return _load(path)[0]

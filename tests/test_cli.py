@@ -481,24 +481,55 @@ def test_oversized_header_refusal_memory_does_not_grow_with_the_file(tmp_path, c
 
 
 def test_input_digest_is_of_the_text_as_text_mode_reads_it(tmp_path, capsys):
-    # the file is read as bytes up to the header and decoded after, with
-    # line ends translated as text mode translates them; the lines before
-    # the header break, as str.splitlines does, at \x1c and \u2028 too
-    raw = "# é\r\n\x1c# c\n\u2028# d\x1c\rposet 3\r\n1 < 2\n\n2 < 3\r".encode("utf-8")
+    # the file is read as bytes a block of lines at a time, each block
+    # hashed with line ends translated as text mode translates them; the
+    # lines break, as str.splitlines does, at \x1c, \x0c and \u2028 too
     path = tmp_path / "P.poset"
-    path.write_bytes(raw)
-    code, out, err = _run(capsys, ["count-antichains", str(path)])
-    assert code == 0
-    with open(path, "r", encoding="utf-8") as fh:
-        want = hashlib.sha256(fh.read().encode("utf-8")).hexdigest()
-    assert _payload(out)["input_sha256"] == want
-    assert _payload(out)["result"]["total"] == "4"
-    # a byte that is not UTF-8, past the header and the first 8 KiB, is
-    # reported at its offset in the whole file
-    path.write_bytes(b"poset 2\n" + b"# pad\n" * 3000 + b"\xff\n")
-    code, out, err = _run(capsys, ["count-antichains", str(path)])
-    assert (code, out) == (1, "")
-    assert "can't decode byte 0xff in position 18008" in err
+    small = "# é\r\n\x1c# c\n\u2028# d\x1c\rposet 3\r\n1 < 2\n\n2 < 3\r"
+    # more than one block: a BOM, \r\n and lone \r on both sides of 64 KiB
+    large = ("# \ufeff\r\n" + "# x\r" * 9000 + "poset 4\x0c1 < 2\u2028"
+             + "# y\r\n" * 9000 + "2 < 3\r3 < 4\n")
+    for text, total in ((small, "4"), (large, "5")):
+        path.write_bytes(text.encode("utf-8"))
+        code, out, err = _run(capsys, ["count-antichains", str(path)])
+        assert code == 0
+        with open(path, "r", encoding="utf-8") as fh:
+            want = hashlib.sha256(fh.read().encode("utf-8")).hexdigest()
+        assert _payload(out)["input_sha256"] == want
+        assert _payload(out)["result"]["total"] == total
+    # a byte that is not UTF-8, past the header and the first 8 KiB or the
+    # first 64 KiB, or a sequence cut off at the end, is reported at its
+    # offset in the whole file
+    pad = b"# pad\n"
+    for raw, where in ((b"poset 2\n" + pad * 3000 + b"\xff\n",
+                        "byte 0xff in position 18008: invalid start byte"),
+                       (b"poset 2\n" + pad * 12000 + b"\xff\n",
+                        "byte 0xff in position 72008: invalid start byte"),
+                       (b"poset 2\n1 < 2\n" + pad * 12000 + b"# \xe2\x82",
+                        "bytes in position 72016-72017: unexpected end of data")):
+        path.write_bytes(raw)
+        assert _run(capsys, ["count-antichains", str(path)]) == (
+            1, "", f"posetkit: 'utf-8' codec can't decode {where}\n")
+
+
+def test_a_fault_before_a_bad_byte_is_reported_first(tmp_path, capsys):
+    # the lines of a block that is not UTF-8, up to the "\n" before its bad
+    # byte, are parsed before the decode error is raised: a refused header
+    # or a malformed relation line comes first.  k comment lines of 32
+    # bytes move the header across the first block's end
+    path, pad = tmp_path / "P.poset", b"#" * 31 + b"\n"
+    for k in range(64):
+        path.write_bytes(pad * k + b"poset 5000\n1 < 2\n\xff\xfe\n")
+        assert _run(capsys, ["count-antichains", str(path)]) == (
+            3, "", "posetkit: cap exceeded: 5000 elements, more than 4096\n")
+        path.write_bytes(pad * k + b"poset 3\n1 < 2\n1 2\n\xff\n")
+        assert _run(capsys, ["count-antichains", str(path)]) == (
+            1, "", f"posetkit: line {k + 3}: expected '<i> < <j>'\n")
+        # a fault between the last "\n" and the bad byte is not reached
+        path.write_bytes(pad * k + b"poset 5000\r1 < 2\xff\n")
+        assert _run(capsys, ["count-antichains", str(path)]) == (
+            1, "", f"posetkit: 'utf-8' codec can't decode byte 0xff in position {32 * k + 16}: "
+                   "invalid start byte\n")
 
 
 def test_long_comment_preamble_is_read_in_linear_time(tmp_path, capsys):
