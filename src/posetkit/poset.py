@@ -451,21 +451,38 @@ def format_poset(P: Poset) -> str:
 def _load(path) -> tuple:
     """The poset of the file at path and the sha256 hex digest of its text as
     text mode reads it, in one pass over blocks of whole lines: memory follows
-    the poset, not the file.  A block that is not UTF-8 hands over its lines up
-    to the "\n" before its bad byte, then raises the whole file's decode error."""
+    the poset, not the file.  A block ends after a "\n" or a lone "\r".  A
+    block that is not UTF-8 hands over its lines up to the last "\n" or "\r"
+    before its bad byte, then raises the whole file's decode error."""
     import hashlib  # here, so that `import posetkit` does not load it
     digest = hashlib.sha256()
 
+    def ended(fh):
+        """The file's bytes, in blocks that end at a line end or at the file's end."""
+        size, head = 1 << 10, []  # reads double to 64 KiB: little is read past a header
+        while data := fh.read(size):
+            if data.endswith(b"\r"):  # one byte more tells a lone "\r" from "\r\n"
+                data += fh.read(1)
+            cut = data.rfind(b"\n") + 1
+            cut = data.rfind(b"\r", cut, -1) + 1 or cut  # a final "\r" may start a "\r\n"
+            if cut:
+                yield b"".join([*head, data[:cut]])
+                head = []
+            head.append(data[cut:])
+            size = min(2 * size, 1 << 16)
+        yield b"".join(head)
+
     def blocks(fh):
-        size, offset = 1 << 10, 0  # doubling to 64 KiB: little is read past a header
-        while block := fh.read(size) + fh.readline():
+        offset = 0
+        for block in ended(fh):
             digest.update(block.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
             try:
                 yield block.decode().splitlines()
             except UnicodeDecodeError as exc:
-                yield block[:block.rfind(b"\n", 0, exc.start) + 1].decode().splitlines()
+                cut = max(block.rfind(b"\n", 0, exc.start), block.rfind(b"\r", 0, exc.start))
+                yield block[:cut + 1].decode().splitlines()
                 (bytes(offset) + block).decode()  # raises: NULs decode, so at the file offset
-            size, offset = min(2 * size, 1 << 16), offset + len(block)
+            offset += len(block)
 
     with open(path, "rb") as fh:
         return _parse(blocks(fh)), digest.hexdigest()

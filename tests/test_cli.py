@@ -513,23 +513,27 @@ def test_input_digest_is_of_the_text_as_text_mode_reads_it(tmp_path, capsys):
 
 
 def test_a_fault_before_a_bad_byte_is_reported_first(tmp_path, capsys):
-    # the lines of a block that is not UTF-8, up to the "\n" before its bad
-    # byte, are parsed before the decode error is raised: a refused header
-    # or a malformed relation line comes first.  k comment lines of 32
-    # bytes move the header across the first block's end
+    # the lines of a block that is not UTF-8, up to the last "\n" or "\r"
+    # before its bad byte, are parsed before the decode error is raised: a
+    # refused header or a malformed relation line comes first.  k comment
+    # lines of 32 bytes move the header across the first block's end
     path, pad = tmp_path / "P.poset", b"#" * 31 + b"\n"
     for k in range(64):
-        path.write_bytes(pad * k + b"poset 5000\n1 < 2\n\xff\xfe\n")
-        assert _run(capsys, ["count-antichains", str(path)]) == (
-            3, "", "posetkit: cap exceeded: 5000 elements, more than 4096\n")
-        path.write_bytes(pad * k + b"poset 3\n1 < 2\n1 2\n\xff\n")
-        assert _run(capsys, ["count-antichains", str(path)]) == (
-            1, "", f"posetkit: line {k + 3}: expected '<i> < <j>'\n")
-        # a fault between the last "\n" and the bad byte is not reached
-        path.write_bytes(pad * k + b"poset 5000\r1 < 2\xff\n")
-        assert _run(capsys, ["count-antichains", str(path)]) == (
-            1, "", f"posetkit: 'utf-8' codec can't decode byte 0xff in position {32 * k + 16}: "
-                   "invalid start byte\n")
+        for end in (b"\n", b"\r"):
+            path.write_bytes(pad * k + b"poset 5000" + end + b"1 < 2\n\xff\xfe\n")
+            assert _run(capsys, ["count-antichains", str(path)]) == (
+                3, "", "posetkit: cap exceeded: 5000 elements, more than 4096\n")
+            path.write_bytes(pad * k + b"poset 5000" + end + b"1 < 2\xff\n")
+            assert _run(capsys, ["count-antichains", str(path)]) == (
+                3, "", "posetkit: cap exceeded: 5000 elements, more than 4096\n")
+            path.write_bytes(pad * k + b"poset 3" + end + b"1 < 2\n1 2\n\xff\n")
+            assert _run(capsys, ["count-antichains", str(path)]) == (
+                1, "", f"posetkit: line {k + 3}: expected '<i> < <j>'\n")
+            # a fault after the last line end before the bad byte is not reached
+            path.write_bytes(pad * k + b"poset 3" + end + b"1 2\xff\n")
+            assert _run(capsys, ["count-antichains", str(path)]) == (
+                1, "", f"posetkit: 'utf-8' codec can't decode byte 0xff in position "
+                       f"{32 * k + 11}: invalid start byte\n")
 
 
 def test_long_comment_preamble_is_read_in_linear_time(tmp_path, capsys):
