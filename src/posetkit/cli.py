@@ -15,7 +15,6 @@ command, or with words left over, and prints the same help and errors.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import stat
@@ -26,7 +25,7 @@ from . import __version__
 from .errors import CapExceeded, NotTwoDimensional, PosetkitError
 from .led import _led_sums, led_boolean, led_chain_union, led_upper_bound
 from .led import count_antichains as count_table
-from .poset import DEFAULT_CAP, _load
+from .poset import DEFAULT_CAP, _load, _sha256
 from .realizer import realizer
 from .revlex import _inversions, _revlex_pair
 from .svg import _ends, _svg
@@ -85,7 +84,7 @@ def _dec(v: int) -> str:
 def _run_led_bool(args) -> tuple:
     if not 1 <= args.n <= 10 ** 4:
         raise ValueError("n must lie in 1..10000")
-    return hashlib.sha256(str(args.n).encode()).hexdigest(), {"led": _dec(led_boolean(args.n))}
+    return _sha256(str(args.n).encode()).hexdigest(), {"led": _dec(led_boolean(args.n))}
 
 
 def _run_led_downset(args) -> tuple:
@@ -212,7 +211,7 @@ def _run_led_chains(args) -> tuple:
     except ValueError:
         raise ValueError(f"bad length list {args.lengths!r}")
     led = led_chain_union(lengths)
-    return hashlib.sha256(args.lengths.encode()).hexdigest(), {"led": _dec(led)}
+    return _sha256(args.lengths.encode()).hexdigest(), {"led": _dec(led)}
 
 
 # command -> (help, run function, its arguments as (name or flag, options))

@@ -20,6 +20,16 @@ from .errors import (
     PosetFormatError,
 )
 
+# hashlib loads OpenSSL, a few MB and a few ms at every CLI start; the
+# interpreter's own SHA-256 gives the same digest (as random.py does for SHA-512)
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 DEFAULT_CAP = 1 << 20
 
 # Largest ground set accepted: the n-bit up, down and incomparable rows take
@@ -164,8 +174,9 @@ def poset_from_relations(n: int, pairs: Iterable[tuple]) -> Poset:
         raise CapExceeded(f"{n} elements, more than {MAX_ELEMENTS}")
     succ = [0] * n
     for a, b in pairs:
-        _check_index(n, a)
-        _check_index(n, b)
+        if not (type(a) is int and type(b) is int and 0 < a <= n and 0 < b <= n):
+            _check_index(n, a)
+            _check_index(n, b)
         if a == b:
             raise CycleDetected(f"{a} < {a} is not irreflexive")
         succ[a - 1] |= 1 << (b - 1)
@@ -454,8 +465,7 @@ def _load(path) -> tuple:
     the poset, not the file.  A block ends after a "\n" or a lone "\r".  A
     block that is not UTF-8 hands over its lines up to the last "\n" or "\r"
     before its bad byte, then raises the whole file's decode error."""
-    import hashlib  # here, so that `import posetkit` does not load it
-    digest = hashlib.sha256()
+    digest = _sha256()
 
     def ended(fh):
         """The file's bytes, in blocks that end at a line end or at the file's end."""

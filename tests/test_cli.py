@@ -819,9 +819,11 @@ def test_a_command_line_with_a_command_builds_one_parser(tmp_path, capsys, monke
 
 
 def _fresh_interpreter(probe: str) -> str:
+    # -S: no site module and no .pth files, so what the probe finds loaded
+    # was loaded by the interpreter itself or by posetkit
     src = str(Path(pk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout.strip()
 
@@ -867,3 +869,25 @@ from posetkit import oracle
 print(oracle.__name__)
 """
     assert _fresh_interpreter(probe) == "posetkit.oracle"
+
+
+def test_cli_hashes_without_loading_openssl(tmp_path, capsys):
+    # hashlib loads OpenSSL; the CLI hashes with the interpreter's own SHA-256
+    probe = ("import sys; import posetkit.cli; "
+             "print(sorted({'hashlib', '_hashlib', 'ssl'} & set(sys.modules)))")
+    assert _fresh_interpreter(probe) == "[]"
+    # without the built-in modules it falls back on hashlib, with the same digests
+    f = _poset_file(tmp_path, pk.chain_union([2, 3]))
+    runs = [["led-downset", f], ["led-bool", "4"], ["led-chains", "2,3"]]
+    want = [_payload(_run(capsys, argv)[1])["input_sha256"] for argv in runs]
+    probe = f"""
+import contextlib, io, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from posetkit import cli
+for argv in {runs!r}:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(argv)
+    print(json.loads(out.getvalue())["input_sha256"])
+print("hashlib" in sys.modules)
+"""
+    assert _fresh_interpreter(probe).splitlines() == [*want, "True"]

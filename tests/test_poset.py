@@ -76,6 +76,17 @@ def test_rejects_cycles_and_bad_ids():
         pk.poset_from_relations(2, [(1, 3)])
     with pytest.raises(pk.IndexOutOfRange, match=_exactly("element 0 not in 1..2")):
         pk.poset_from_relations(2, [(0, 1)])
+    # a pair whose ids are not both plain ints in 1..n is checked id by id,
+    # so an int subclass passes and the first bad id is the one reported
+    class Id(int):
+        pass
+
+    P = pk.poset_from_relations(3, [(Id(1), Id(2)), (2, 3)])
+    assert P.relation_pairs() == [(1, 2), (1, 3), (2, 3)]
+    for pairs, bad in (([(True, 2)], "True"), ([(1, 2.0)], "2.0"), ([(4, 0)], "4"),
+                       ([(1, 2), (2, "3")], "'3'"), ([(Id(0), 1)], "0")):
+        with pytest.raises(pk.IndexOutOfRange, match=_exactly(f"element {bad} not in 1..3")):
+            pk.poset_from_relations(3, pairs)
 
 
 _GUARDS = [
