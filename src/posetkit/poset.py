@@ -8,6 +8,7 @@ after construction, so everything in here is safe to share across threads.
 from __future__ import annotations
 
 import re
+from codecs import utf_8_decode as _utf_8_decode
 from itertools import chain as _chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -461,38 +462,35 @@ def format_poset(P: Poset) -> str:
 
 def _load(path) -> tuple:
     """The poset of the file at path and the sha256 hex digest of its text as
-    text mode reads it, in one pass over blocks of whole lines: memory follows
-    the poset, not the file.  A block ends after a "\n" or a lone "\r".  A
-    block that is not UTF-8 hands over its lines up to the last "\n" or "\r"
-    before its bad byte, then raises the whole file's decode error."""
+    text mode reads it, in one pass: blocks of bytes are decoded and split by
+    str.splitlines, the line left open held over, so memory follows the poset,
+    not the file.  On a byte that is not UTF-8 it hands over every line that
+    ends before it, then raises the whole file's decode error."""
     digest = _sha256()
 
-    def ended(fh):
-        """The file's bytes, in blocks that end at a line end or at the file's end."""
-        size, head = 1 << 10, []  # reads double to 64 KiB: little is read past a header
-        while data := fh.read(size):
-            if data.endswith(b"\r"):  # one byte more tells a lone "\r" from "\r\n"
-                data += fh.read(1)
-            cut = data.rfind(b"\n") + 1
-            cut = data.rfind(b"\r", cut, -1) + 1 or cut  # a final "\r" may start a "\r\n"
-            if cut:
-                yield b"".join([*head, data[:cut]])
-                head = []
-            head.append(data[cut:])
-            size = min(2 * size, 1 << 16)
-        yield b"".join(head)
-
     def blocks(fh):
-        offset = 0
-        for block in ended(fh):
-            digest.update(block.replace(b"\r\n", b"\n").replace(b"\r", b"\n"))
-            try:
-                yield block.decode().splitlines()
+        size, data, head = 1 << 10, b"", []  # reads double to 64 KiB
+        while True:
+            new = fh.read(size)
+            data += new
+            try:  # a sequence cut off at the block's end is decoded with the next one
+                text, used = _utf_8_decode(data, None, not new)
             except UnicodeDecodeError as exc:
-                cut = max(block.rfind(b"\n", 0, exc.start), block.rfind(b"\r", 0, exc.start))
-                yield block[:cut + 1].decode().splitlines()
-                (bytes(offset) + block).decode()  # raises: NULs decode, so at the file offset
-            offset += len(block)
+                # the lines that end before the bad byte: "#" puts what follows
+                # the last line end on a piece of its own, left out
+                yield ("".join(head) + data[:exc.start].decode() + "#").splitlines(True)[:-1]
+                (bytes(fh.tell() - len(data)) + data).decode()  # raises at the file offset
+            if new and text[-1:] == "\r":  # so is a "\r" that may begin a "\r\n"
+                text, used = text[:-1], used - 1
+            digest.update(text.replace("\r\n", "\n").replace("\r", "\n").encode())
+            *lines, last = (text + "#").splitlines(True)  # last: what is held over
+            if lines:  # the line held over ends in this block
+                lines[0], head = "".join([*head, lines[0]]), []
+            head.append(last[:-1])  # joined once, when its line ends: time follows the file
+            yield lines if new else [*lines, "".join(head)]
+            if not new:
+                return
+            data, size = data[used:], min(2 * size, 1 << 16)
 
     with open(path, "rb") as fh:
         return _parse(blocks(fh)), digest.hexdigest()

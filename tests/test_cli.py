@@ -481,15 +481,21 @@ def test_oversized_header_refusal_memory_does_not_grow_with_the_file(tmp_path, c
 
 
 def test_input_digest_is_of_the_text_as_text_mode_reads_it(tmp_path, capsys):
-    # the file is read as bytes a block of lines at a time, each block
-    # hashed with line ends translated as text mode translates them; the
-    # lines break, as str.splitlines does, at \x1c, \x0c and \u2028 too
+    # the file is read in blocks of bytes, each decoded and hashed with line
+    # ends translated as text mode translates them; the lines break, as
+    # str.splitlines does, at \x1c, \x0c and \u2028 too
     path = tmp_path / "P.poset"
     small = "# é\r\n\x1c# c\n\u2028# d\x1c\rposet 3\r\n1 < 2\n\n2 < 3\r"
     # more than one block: a BOM, \r\n and lone \r on both sides of 64 KiB
     large = ("# \ufeff\r\n" + "# x\r" * 9000 + "poset 4\x0c1 < 2\u2028"
              + "# y\r\n" * 9000 + "2 < 3\r3 < 4\n")
-    for text, total in ((small, "4"), (large, "5")):
+    # the reads end after 1 KiB, then after 2, 4, ... and the first of 64 KiB:
+    # a 3-byte character cut after its first or second byte, and a "\r\n"
+    # cut after its "\r", at the end of the first read and of that 64 KiB one
+    head, ends = "poset 2\n# ", (1024, sum(1024 << k for k in range(7)))
+    cut = [(head + "x" * (end - k - len(head)) + tail, "3") for end in ends
+           for k, tail in ((1, "€\n1 < 2\n"), (2, "€\n1 < 2\n"), (1, "\r\n1 < 2\r\n"))]
+    for text, total in ((small, "4"), (large, "5"), *cut):
         path.write_bytes(text.encode("utf-8"))
         code, out, err = _run(capsys, ["count-antichains", str(path)])
         assert code == 0
@@ -501,22 +507,26 @@ def test_input_digest_is_of_the_text_as_text_mode_reads_it(tmp_path, capsys):
     # first 64 KiB, or a sequence cut off at the end, is reported at its
     # offset in the whole file
     pad = b"# pad\n"
+    # and so is an invalid 3-byte sequence cut at the end of a read
+    cut = [(head.encode() + b"x" * (end - k - len(head)) + b"\xe2\x82\x28\n",
+            f"bytes in position {end - k}-{end - k + 1}: invalid continuation byte")
+           for end in ends for k in (1, 2)]
     for raw, where in ((b"poset 2\n" + pad * 3000 + b"\xff\n",
                         "byte 0xff in position 18008: invalid start byte"),
                        (b"poset 2\n" + pad * 12000 + b"\xff\n",
                         "byte 0xff in position 72008: invalid start byte"),
                        (b"poset 2\n1 < 2\n" + pad * 12000 + b"# \xe2\x82",
-                        "bytes in position 72016-72017: unexpected end of data")):
+                        "bytes in position 72016-72017: unexpected end of data"), *cut):
         path.write_bytes(raw)
         assert _run(capsys, ["count-antichains", str(path)]) == (
             1, "", f"posetkit: 'utf-8' codec can't decode {where}\n")
 
 
 def test_a_fault_before_a_bad_byte_is_reported_first(tmp_path, capsys):
-    # the lines of a block that is not UTF-8, up to the last "\n" or "\r"
-    # before its bad byte, are parsed before the decode error is raised: a
-    # refused header or a malformed relation line comes first.  k comment
-    # lines of 32 bytes move the header across the first block's end
+    # every line that ends before a byte that is not UTF-8 is parsed before
+    # the decode error is raised: a refused header or a malformed relation
+    # line comes first.  k comment lines of 32 bytes move the header across
+    # the first block's end
     path, pad = tmp_path / "P.poset", b"#" * 31 + b"\n"
     for k in range(64):
         for end in (b"\n", b"\r"):
@@ -538,13 +548,16 @@ def test_a_fault_before_a_bad_byte_is_reported_first(tmp_path, capsys):
 
 def test_long_comment_preamble_is_read_in_linear_time(tmp_path, capsys):
     # 20000 comment lines (2 MB) before the header: the lines read up to
-    # the header are joined once, not grown a line at a time
+    # the header are joined once, not grown a line at a time.  And one blank
+    # line of 24 MB, which spans about 370 blocks: its pieces are joined once, not
+    # copied and split again at every block
     path = tmp_path / "P.poset"
-    path.write_text(("# " + "x" * 97 + "\n") * 20_000 + "poset 2\n1 < 2\n", encoding="utf-8")
-    started = time.perf_counter()
-    code, out, err = _run(capsys, ["count-antichains", str(path)])
-    assert time.perf_counter() - started < 2
-    assert code == 0 and _payload(out)["result"]["total"] == "3"
+    for preamble in (("# " + "x" * 97 + "\n") * 20_000, " " * 24_000_000 + "\n"):
+        path.write_text(preamble + "poset 2\n1 < 2\n", encoding="utf-8")
+        started = time.perf_counter()
+        code, out, err = _run(capsys, ["count-antichains", str(path)])
+        assert time.perf_counter() - started < 2
+        assert code == 0 and _payload(out)["result"]["total"] == "3"
 
 
 def test_wide_antichain_exits_three(tmp_path, capsys):

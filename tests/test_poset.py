@@ -560,17 +560,24 @@ LINE_BREAKS = ("\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
                "\u2028", "\u2029")
 
 
-def test_parse_numbers_lines_as_splitlines_does():
+def test_parse_numbers_lines_as_splitlines_does(tmp_path):
+    # and load_poset reads each text, written to a file, the same way
+    path = tmp_path / "P.poset"
     comments = "".join(f"# {i}{b}" for i, b in enumerate(LINE_BREAKS))
     relations = "".join(f"1 < 2{b}" for b in LINE_BREAKS)
     for text in (comments + "poset x\n",
                  comments + "poset 3\r\n" + relations + "1 2\n",
                  "".join(f" {b}" for b in LINE_BREAKS) + "poset -1\n"):
         want = f"line {len(text.splitlines())}: "
-        with pytest.raises(pk.PosetFormatError, match="^" + re.escape(want)):
-            pk.parse_poset(text)
-    P = pk.parse_poset(comments + "poset 3\r" + relations + "2 < 3")
+        path.write_bytes(text.encode())
+        for read in (lambda: pk.parse_poset(text), lambda: pk.load_poset(path)):
+            with pytest.raises(pk.PosetFormatError, match="^" + re.escape(want)):
+                read()
+    text = comments + "poset 3\r" + relations + "2 < 3"
+    path.write_bytes(text.encode())
+    P = pk.parse_poset(text)
     assert P.relation_pairs() == [(1, 2), (1, 3), (2, 3)]
+    assert pk.load_poset(path) == P
 
 
 def test_load_poset(tmp_path):

@@ -71,12 +71,12 @@ def test_union_of_four_chains_at_max_elements(tmp_path):
     assert _result(done)["led"] == str(pk.led_chain_union([1024] * 4))
 
 
-@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r", "\x0c", "\x85", "\u2028"])
 def test_file_memory_follows_the_poset_not_the_file(tmp_path, end):
-    # 12 MB of one relation line repeated for a 2-point poset, with each line
-    # end text mode reads: the file is read a block of lines at a time, so
-    # the child fits in 128 MB of address space; holding the whole text and
-    # its lines took more
+    # 12-16 MB of one relation line repeated for a 2-point poset, with each
+    # line end text mode reads and some that only str.splitlines breaks at:
+    # the file is read a block of lines at a time, so the child fits in 128 MB
+    # of address space; holding the whole text and its lines took more
     path = tmp_path / "repeated.poset"
     path.write_bytes(f"poset 2{end}{f'1 < 2{end}' * 2_000_000}".encode())
     done = _cli(["count-antichains", str(path)], timeout=120, address_space=128 * 1024 * 1024)
