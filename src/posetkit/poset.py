@@ -479,7 +479,9 @@ def _load(path) -> tuple:
                 # the lines that end before the bad byte: "#" puts what follows
                 # the last line end on a piece of its own, left out
                 yield ("".join(head) + data[:exc.start].decode() + "#").splitlines(True)[:-1]
-                (bytes(fh.tell() - len(data)) + data).decode()  # raises at the file offset
+                at = fh.tell() - len(data) + exc.start  # the bad byte's offset in the file
+                raise UnicodeDecodeError(exc.encoding, bytes(at) + data[exc.start:exc.end], at,
+                                         at + exc.end - exc.start, exc.reason)
             if new and text[-1:] == "\r":  # so is a "\r" that may begin a "\r\n"
                 text, used = text[:-1], used - 1
             digest.update(text.replace("\r\n", "\n").replace("\r", "\n").encode())

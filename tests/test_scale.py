@@ -83,6 +83,21 @@ def test_file_memory_follows_the_poset_not_the_file(tmp_path, end):
     assert _result(done)["total"] == "3"
 
 
+def test_decode_error_memory_follows_the_block_not_the_file(tmp_path):
+    # 48 MB of 1 KiB comment lines, then a byte that is not UTF-8: the error,
+    # at the byte's offset in the whole file, holds one buffer as long as the
+    # file up to it, so the child fits in 128 MB of address space; decoding
+    # the block behind a zeroed prefix made three such copies and ran out of
+    # memory
+    path = tmp_path / "bad-byte.poset"
+    head, comments = b"poset 2\n1 < 2\n", 47_000
+    path.write_bytes(head + (b"#" + b"x" * 1022 + b"\n") * comments + b"\xff")
+    done = _cli(["count-antichains", str(path)], timeout=60, address_space=128 * 1024 * 1024)
+    at = len(head) + 1024 * comments
+    assert (done.returncode, done.stderr) == (
+        1, f"posetkit: 'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte\n")
+
+
 @pytest.mark.parametrize("k", [12, 15])
 def test_antichain_drawing(tmp_path, k):
     # the Boolean lattice 2^k: 2^k downsets and k 2^(k-1) covers, 32 768 and
