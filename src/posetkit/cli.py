@@ -5,21 +5,21 @@ input file; SVG drawings go to the path given.  Exit codes: 0 success,
 1 parse or usage problems or a stdout closed early, 2 not two-dimensional,
 3 a cap was exceeded or the command ran out of memory.
 
-A command line that starts with a command is parsed by that command's
-parser alone.  The parser with every command hands the words after the
-command to a subparser built the same way, and reports only the words it
-leaves over.  So that full parser is built only for a line with no leading
-command, or with words left over, and prints the same help and errors.
+A plain command line, a command then its exact flags, flag values and
+positionals, is parsed straight from the grammar table `_COMMANDS` and
+builds no parser.  Every other line (help, abbreviations, = forms, --, a
+word that starts with "-", a missing or extra word, a bad value) goes to
+argparse's parser with every command, which prints the help and errors.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import stat
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import CapExceeded, NotTwoDimensional, PosetkitError
@@ -31,21 +31,14 @@ from .revlex import _inversions, _revlex_pair
 from .svg import _ends, _svg
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on usage errors; 2 is taken
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
-
-
 def _cap(text: str) -> int:
     try:
         if (cap := int(text)) >= 1:
             return cap
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text}")
+    from argparse import ArgumentTypeError  # only the full parser reports it
+    raise ArgumentTypeError(f"must be an integer >= 1, not {text}")
 
 
 class _Json(list):
@@ -234,36 +227,75 @@ _COMMANDS = {
 }
 
 
-def _arguments(s: _Parser, name: str) -> _Parser:
-    """s with the arguments and the run function of the command name."""
-    _, run, arguments = _COMMANDS[name]
-    for flag, options in arguments:
-        s.add_argument(flag, **options)
-    s.set_defaults(run=run)
-    return s
-
-
-def _build_parser() -> _Parser:
+def _build_parser():
     """The parser with every command: the top-level help lists them, and a
     missing or unknown command is reported by the dest, `command`."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        # argparse exits with code 2 on usage errors; 2 is taken
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            print(f"{self.prog}: error: {message}", file=sys.stderr)
+            raise SystemExit(1)
+
     p = _Parser(prog="posetkit")
     p.add_argument("--verbose", action="store_true",
                    help="print a timing line to stderr")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _arguments(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, run, arguments) in _COMMANDS.items():
+        s = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            s.add_argument(flag, **options)
+        s.set_defaults(run=run)
     return p
 
 
-def _parse(argv: list) -> argparse.Namespace:
-    """The namespace of argv, as the full parser gives it (see above)."""
-    if argv and argv[0] in _COMMANDS:
-        s = _arguments(_Parser(prog="posetkit " + argv[0]), argv[0])
-        s.set_defaults(command=argv[0], verbose=False)
-        args, rest = s.parse_known_args(argv[1:])
-        if not rest:
-            return args
-    return _build_parser().parse_args(argv)
+def _plain(argv: list):
+    """The namespace of a plain command line, as the full parser gives it,
+    or None.  The line is plain when argv[0] is a command and every later
+    word is an exact flag of it, a flag's value or one of its positionals,
+    every positional is given, no value starts with "-", and each value
+    passes its option's type and choices."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, run, arguments = _COMMANDS[argv[0]]
+    grammar = dict(arguments)
+    dest = {name: name.lstrip("-").replace("-", "_") for name in grammar}
+    positionals = [name for name in grammar if not name.startswith("-")]
+    args = {"command": argv[0], "run": run, "verbose": False}
+    for name, options in arguments:
+        if name.startswith("-"):
+            store_true = options.get("action") == "store_true"
+            args[dest[name]] = options.get("default", False if store_true else None)
+    words = iter(argv[1:])
+    for word in words:
+        if word.startswith("-") and word in grammar:  # a flag
+            name, options = word, grammar[word]
+            if options.get("action") == "store_true":
+                args[dest[name]] = True
+                continue
+            word = next(words, "-")  # a missing value is refused below
+        elif positionals:
+            name = positionals.pop(0)
+            options = grammar[name]
+        else:
+            return None
+        if word.startswith("-"):
+            return None
+        try:
+            value = options.get("type", str)(word)
+        except Exception:  # ValueError or _cap's ArgumentTypeError: argparse reports it
+            return None
+        if value not in options.get("choices", (value,)):
+            return None
+        args[dest[name]] = value
+    return None if positionals else SimpleNamespace(**args)
+
+
+def _parse(argv: list):
+    """The namespace of argv: _plain's, else the full parser's."""
+    return _plain(argv) or _build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

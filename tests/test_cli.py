@@ -749,9 +749,9 @@ def test_verbose_timing_goes_to_stderr(capsys):
 
 
 def test_main_prints_what_the_parser_with_every_command_prints(tmp_path, capsys):
-    # main parses a command line that starts with a command by that
-    # command's parser alone: its usage, help, errors, exit codes and
-    # namespaces must be those of the parser with every command
+    # main parses a plain command line from the grammar table alone: its
+    # usage, help, errors, exit codes and namespaces must be those of the
+    # parser with every command
     f = _poset_file(tmp_path, pk.chain(2))
     svg = str(tmp_path / "out.svg")
     for argv in ([], ["nope"], ["-h"], ["-hx"], ["--verbose"], ["nope", "-h"],
@@ -804,30 +804,91 @@ def test_main_prints_what_the_parser_with_every_command_prints(tmp_path, capsys)
         assert vars(cli._parse(argv)) == vars(cli._build_parser().parse_args(argv)), argv
 
 
-def test_a_command_line_with_a_command_builds_one_parser(tmp_path, capsys, monkeypatch):
-    # the full parser, with a subparser per command, is built only for the
-    # top-level help and usage errors
+def _random_command_line(rng) -> list:
+    """A command line near a plain one: a well-formed line of a random
+    command, then a few words replaced, inserted or dropped from a pool of
+    flags, abbreviations, = forms, --, -h, signed and Unicode digits, empty
+    words and odd values."""
+    name = rng.choice([*cli._COMMANDS, "nope", "-h", "--verbose", ""])
+    values = ["f", "a b", "", "3", "-3", "+3", "0", "1", " 7", "\u0663", "3.5", "10_0",
+              "x", "-", "--", "diameter", "classes", "critical", "bogus", "9" * 5000]
+    words = []
+    for flag, options in cli._COMMANDS.get(name, (None, None, []))[2]:
+        pool = list(options.get("choices", ())) or ["3", "f", "12", "\u0663"]
+        if not flag.startswith("-"):
+            words.append(rng.choice(pool))
+        elif rng.random() < 0.5:
+            words += [flag] if "action" in options else [flag, rng.choice(pool)]
+    if rng.random() < 0.2:
+        rng.shuffle(words)
+    flags = [flag for _, _, arguments in cli._COMMANDS.values()
+             for flag, _ in arguments if flag.startswith("-")]
+    pool = [*flags, *(f[:k] for f in flags for k in (3, 5, 7)), "--svg=x", "--cap=2",
+            "--scale=5", "-h", "--help", "--verbose", "-x", *values, *cli._COMMANDS]
+    for _ in range(rng.choice((0, 0, 0, 1, 1, 2))):
+        i = rng.randrange(len(words) + 1)
+        kind = rng.randrange(3)
+        if kind == 0 and i < len(words):
+            words[i] = rng.choice(pool)
+        elif kind == 1:
+            words.insert(i, rng.choice(pool))
+        elif words:
+            del words[i % len(words)]
+    return [name, *words]
+
+
+def test_plain_lines_parse_as_the_full_parser_parses_them(capsys):
+    # every line the grammar table takes must be one argparse accepts, with
+    # the same namespace; the reference parser is built once
+    full = cli._build_parser()
+    rng = random.Random(41)
+    taken = refused = 0
+    for _ in range(12000):
+        argv = _random_command_line(rng)
+        try:
+            want = vars(full.parse_args(argv))
+        except SystemExit:
+            want = None
+        got = cli._plain(argv)
+        if got is not None:
+            taken += 1
+            assert vars(got) == want, argv
+        elif want is None:
+            refused += 1
+    capsys.readouterr()
+    assert taken > 3000 and refused > 2000, (taken, refused)
+
+
+def test_a_plain_command_line_builds_no_parser(tmp_path, capsys, monkeypatch):
+    # a plain line is parsed from the grammar table; the full parser, with a
+    # subparser per command, is built only for help, usage errors and the
+    # lines the table does not take whole
+    import argparse
+
     progs = []
+    init = argparse.ArgumentParser.__init__
 
-    class Counted(cli._Parser):
-        def __init__(self, *args, **kwargs):
-            progs.append(kwargs.get("prog"))
-            super().__init__(*args, **kwargs)
+    def counted(self, *args, **kwargs):
+        progs.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "_Parser", Counted)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
     f = _poset_file(tmp_path, pk.chain(2))
-    for argv in (["led-bool", "3"], ["led-downset", f, "--breakdown"], ["diametral", f],
-                 ["oracle", f, "critical"], ["count-antichains", f], ["led-chains", "2,1"]):
-        progs.clear()
-        assert cli.main(argv) == 0
-        assert progs == ["posetkit " + argv[0]], argv
+    svg = str(tmp_path / "out.svg")
+    for argv in (["led-bool", "3"], ["led-downset", f, "--breakdown"],
+                 ["led-downset", f, "--upper-bound-only"], ["diametral", f],
+                 ["diametral", f, "--svg", svg, "--scale", "10", "--max-lattice", "5"],
+                 ["oracle", f, "critical"], ["oracle", f, "diameter", "--cap", "2"],
+                 ["count-antichains", f], ["led-chains", "2,1"]):
+        assert cli.main(argv) == 0, argv
+        assert progs == [], argv
     full = ["posetkit", *("posetkit " + name for name in cli._COMMANDS)]
-    for argv, built in (([], full), (["-h"], full),
-                        (["led-downset", f, "extra"], ["posetkit led-downset", *full])):
+    assert len(full) == 7
+    for argv in ([], ["-h"], ["led-downset", f, "extra"], ["led-downset", "--break", f]):
         progs.clear()
-        with pytest.raises(SystemExit):
+        with contextlib.suppress(SystemExit):  # all but --break, which argparse takes
             cli.main(argv)
-        assert progs == built, argv
+        assert progs == full, argv
     capsys.readouterr()
 
 
@@ -839,6 +900,21 @@ def _fresh_interpreter(probe: str) -> str:
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     return done.stdout.strip()
+
+
+def test_a_plain_line_loads_neither_locale_nor_shutil(tmp_path):
+    # argparse's formatter and gettext lookups load them; a plain line
+    # builds no parser, and argparse itself loads only for the full one
+    f = _poset_file(tmp_path, pk.chain(2))
+    probe = f"""
+import contextlib, io, sys
+from posetkit import cli
+print("argparse" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["led-downset", {f!r}, "--breakdown"])
+print(code, sorted({{"argparse", "locale", "shutil"}} & set(sys.modules)))
+"""
+    assert _fresh_interpreter(probe).splitlines() == ["False", "0 []"]
 
 
 def test_cli_import_leaves_dataclasses_out(tmp_path):

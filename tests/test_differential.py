@@ -4,6 +4,9 @@ Differential: on small random 2D orders, the engine (for several
 non-separating sigmas), the class-sum bound (tight in dimension two) and
 the reversal distance of the revlex diametral pair must agree.
 
+Pinned: on prime orders of width 2 to 4 and hundreds of points, the
+engine's led equals the reversal distance of the two revlex walks.
+
 Metamorphic: at sizes no oracle reaches, the diameter is invariant under
 duality (D_{P^op} is D_P turned upside down), additive over ordinal sums
 (D_{P+Q} is D_P stacked on D_Q), and fixed by the antichain counts over
@@ -14,6 +17,9 @@ import random
 from math import comb
 
 import posetkit as pk
+from posetkit import led as led_module
+from posetkit.led import _led_sums
+from posetkit.revlex import _inversions, _revlex_pair
 
 from conftest import dual, random_extension, random_two_dim
 
@@ -52,6 +58,44 @@ def test_engine_bound_and_diametral_pair_agree():
                 others += 1
         checked += 1
     assert checked >= 100 and others >= 50
+
+
+def runs_order(n, w, rng):
+    """The 2D order of a permutation made of w increasing runs: the values
+    0..n-1 are dealt to w runs at random, each run is written increasing
+    and the runs one after another.  a < b iff a comes first and has the
+    smaller value, so the width is at most w (a decreasing subsequence
+    takes one value per run), and the antichains are few enough to list."""
+    run = [rng.randrange(w) for _ in range(n)]
+    pi = [v for g in range(w) for v in range(n) if run[v] == g]
+    return pk.poset_from_relations(n, [(a + 1, b + 1) for a in range(n)
+                                       for b in range(a + 1, n) if pi[a] < pi[b]])
+
+
+def test_engine_matches_the_revlex_walks_on_prime_orders_of_hundreds(monkeypatch):
+    # the paper's diametral construction: the revlex orders of sigma and
+    # sigma_bar, listed by the antichain walk, whose reversal distance is
+    # counted by the Fenwick tree; it shares with the engine only `ends`
+    # (the downset count that _revlex_pair checks against its cap) and the
+    # realizer
+    blocks = []
+    engine_sums = led_module._engine_sums
+    monkeypatch.setattr(led_module, "_engine_sums",
+                        lambda sbar: blocks.append(len(sbar)) or engine_sums(sbar))
+    rng = random.Random(14)
+    for w, n in ((2, 200), (2, 400), (3, 200), (3, 300), (4, 150)):
+        P = runs_order(n, w, rng)
+        r = pk.realizer(P)
+        w1, w2 = _revlex_pair(P, 10 ** 6, r)
+        at = {D: i + 1 for i, (_, D) in enumerate(w1)}
+        distance = _inversions([at[D] for _, D in w2])
+        blocks.clear()
+        Q = dual(P)
+        leds = [_led_sums(P, r.sigma)[4], _led_sums(P, r.sigma_bar)[4],
+                _led_sums(Q, pk.realizer(Q).sigma)[4]]
+        assert leds == [distance] * 3, (w, n)
+        # the engine ran on one prime block of nearly every point
+        assert len(blocks) == 3 and min(blocks) > 0.9 * n > 100, (w, n, blocks)
 
 
 def test_dual_has_the_same_diameter():

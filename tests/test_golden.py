@@ -5,7 +5,8 @@ tests/golden.json holds one line per op: its command line ("{file}" and
 of its stdout, its stderr and the drawing it wrote (null if none).  The ops
 are the benchmark's operations of seeds 1-3, built by bench/workloads.py
 (imported from there, not copied), then refusals with exit codes 1, 2 and
-3, the commands the benchmark does not run, and files broken by each kind
+3, the commands the benchmark does not run, lines that only argparse
+parses (help, abbreviations, = forms, --), and files broken by each kind
 of line end or holding a byte that is not UTF-8.  Each op runs through
 cli.main in this process, in a fresh working directory, so the paths that
 the report and the messages show are the same on every run.  A change that
@@ -90,6 +91,16 @@ def _ops() -> list:
         ("max-lattice", ["diametral", "{file}", "--max-lattice", "4"], b"poset 3\n"),
         ("oracle-cap", ["oracle", "{file}", "diameter", "--cap", "2"], n),
         ("upper-bound-cap", ["led-downset", "{file}", "--upper-bound-only"], b"poset 1100\n"),
+        # lines that argparse parses: help, an abbreviation, an = form, --, a
+        # negative number, a bad value and a missing word
+        ("parse-help", ["led-downset", "-h"], None),
+        ("parse-abbreviation", ["led-downset", "--break", "{file}"], n),
+        ("parse-equals", ["diametral", "{file}", "--svg={svg}"], n),
+        ("parse-bad-scale", ["diametral", "{file}", "--scale", "x"], n),
+        ("parse-bad-mode", ["oracle", "{file}", "bogus"], n),
+        ("parse-negative", ["led-bool", "-3"], None),
+        ("parse-double-dash", ["led-downset", "--", "{file}"], n),
+        ("parse-missing-file", ["count-antichains"], None),
     ]
     return ops + _reader_ops()
 
