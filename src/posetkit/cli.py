@@ -117,17 +117,15 @@ def _bit_sums(values: list):
 def _run_diametral(args) -> tuple:
     P, digest = _load(args.file)
     r = realizer(P)
-    w1, w2 = _revlex_pair(P, args.max_lattice, r)
-    at = {D: i for i, (_, D) in enumerate(w1)}  # each downset's index in L_sigma
-    xs = [at[D] for _, D in w2]  # L_sigma indices in L_sigma_bar order
-    del w2  # each table goes once no later step reads it: memory follows the downsets
+    # the walk lists L_sigma, and xs its indices in L_sigma_bar order
+    walk, xs = _revlex_pair(P, args.max_lattice, r)
     # each downset's member list as JSON text at depth one, rendered once
     members = _bit_sums([",\n    " + str(e) for e in P.elements()])
-    texts = _Json("[" + s[1:] + "\n  ]" if (s := members(D)) else "[]" for _, D in w1)
+    texts = _Json("[" + s[1:] + "\n  ]" if (s := members(D)) else "[]" for _, D, _ in walk)
     result = {
         "sigma": list(r.sigma),
         "sigma_bar": list(r.sigma_bar),
-        "distance": _dec(_inversions([x + 1 for x in xs])),  # inverting keeps inversions
+        "distance": _dec(_inversions(xs)),  # inverting keeps inversions
         "extension_1": texts,
         "extension_2": _Json(texts[x] for x in xs),
     }
@@ -140,13 +138,14 @@ def _run_diametral(args) -> tuple:
         # The lattice is distributive, so its covers are D - a below D for
         # the maxima a the walk lists with D.  D - a comes first in L_sigma
         # (revlex), so the covers above each downset come out sorted.
-        above = [[] for _ in w1]
-        for (A, D), end in zip(w1, ends):
+        at = {D: i for i, (_, D, _) in enumerate(walk)}  # each downset's index in L_sigma
+        above = [[] for _ in walk]
+        for (A, D, _), end in zip(walk, ends):
             while A:
                 a = A & -A
                 above[at[D ^ a]].append(end)
                 A ^= a
-        del at, w1, ends
+        del at, walk, ends  # each table goes once no later step reads it
         fh = open(args.svg, "w", encoding="utf-8")
         regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)  # not a FIFO or a device
         try:

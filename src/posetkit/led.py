@@ -434,6 +434,6 @@ def led_upper_bound(P: Poset, cap: int = 1 << 10) -> int:
     2^(d-1) unordered pairs, so the bound is half the number of unordered
     pairs whose D has two or more components.  Needs no realizer, so it
     also covers posets of dimension three and more."""
-    masks = [A for A, _ in _antichains(P, cap)]
+    masks = [A for A, _, _ in _antichains(P, cap)]
     pairs = Counter(a ^ b for a, b in combinations(masks, 2))
     return sum(k for d, k in pairs.items() if len(component_masks(P, d)) >= 2) // 2

@@ -298,10 +298,14 @@ def maxima_of_downset(P: Poset, S: Iterable[int]) -> tuple:
     return tuple(j + 1 for j in _bits(mask) if not P._up[j] & mask)
 
 
-def _antichains(P: Poset, cap: int, order: Sequence[int] = ()):
-    """Yield (A, D) for every antichain A, the empty one first, in colex
+def _antichains(P: Poset, cap: int, order: Sequence[int] = (),
+                marks: Sequence[int] = ()):
+    """Yield (A, D, M) for every antichain A, the empty one first, in colex
     order of its members' positions in order (1..n by default): A as an
-    element bitmask and D its down-closure.  Raises CapExceeded past cap.
+    element bitmask, D its down-closure and M the union of marks[p] over
+    the positions p of its members (0 without marks), so that marks of
+    down-closures in another labelling give D in that labelling.  Raises
+    CapExceeded past cap.
 
     For a linear extension sigma this is revlex order of the D: for D != D'
     take z the sigma-last element of D ^ D', say z in D'.  What is above z
@@ -311,7 +315,7 @@ def _antichains(P: Poset, cap: int, order: Sequence[int] = ()):
     # the minimal (or the maximal) elements form an antichain: k give 2^k
     if P.n and 1 << max(sum(not m for m in P._down), sum(not m for m in P._up)) > cap:
         raise CapExceeded(f"more than {cap} antichains")
-    yield 0, 0
+    yield 0, 0, 0
     # x_p is element ids[p] + 1, bit[p] its mask and close[p] the mask of its
     # down-closure; inc[p]: the positions incomparable to x_p
     ids, inc = [e - 1 for e in order] or range(P.n), P._inc
@@ -319,37 +323,38 @@ def _antichains(P: Poset, cap: int, order: Sequence[int] = ()):
         at = {j: 1 << p for p, j in enumerate(ids)}
         inc = [sum(at[q] for q in _bits(inc[j])) for j in ids]
     bit, close = [1 << j for j in ids], [1 << j | P._down[j] for j in ids]
+    marks = marks or [0] * P.n
     count = 1
-    # depth-first; a frame is an antichain, its closure, and the positions listed
-    # (tried) and to list (untried, never 0) below its members, incomparable to it
-    stack = [(0, 0, 0, (1 << P.n) - 1)] if P.n else []
+    # depth-first; a frame is an antichain, its closure, its marks, and the positions
+    # listed (tried) and to list (untried, never 0) below its members, incomparable to it
+    stack = [(0, 0, 0, 0, (1 << P.n) - 1)] if P.n else []
     while stack:
-        A, D, tried, untried = stack.pop()
+        A, D, M, tried, untried = stack.pop()
         if count >= cap:
             raise CapExceeded(f"more than {cap} antichains")
         count += 1
         low = untried & -untried
         p = low.bit_length() - 1
-        A2, D2 = A | bit[p], D | close[p]
-        yield A2, D2
+        A2, D2, M2 = A | bit[p], D | close[p], M | marks[p]
+        yield A2, D2, M2
         if untried := untried ^ low:
-            stack.append((A, D, tried | low, untried))
+            stack.append((A, D, M, tried | low, untried))
         if tried := tried & inc[p]:
-            stack.append((A2, D2, 0, tried))
+            stack.append((A2, D2, M2, 0, tried))
 
 
 def enumerate_antichains(P: Poset, cap: int = DEFAULT_CAP) -> list:
     """All antichains as sorted tuples (the empty one first) in
     lexicographic order.  Raises CapExceeded past cap."""
     # tuples only once the listing is under cap: then each has <= log2(cap) members
-    masks = [A for A, _ in _antichains(P, cap)]
+    masks = [A for A, _, _ in _antichains(P, cap)]
     return sorted(tuple(j + 1 for j in _bits(A)) for A in masks)
 
 
 def all_downsets(P: Poset, cap: int = DEFAULT_CAP) -> list:
     """Every downset as a bitmask, sorted by numeric mask value: the
     down-closures of the antichains, one per antichain (Birkhoff)."""
-    return sorted(D for _, D in _antichains(P, cap))
+    return sorted(D for _, D, _ in _antichains(P, cap))
 
 
 class DownsetLattice(NamedTuple):

@@ -3,7 +3,8 @@
 For a fixed linear extension sigma, a set S precedes T exactly if the
 sigma-largest element of the symmetric difference lies in T.  All downsets
 of P in this order, which the antichain walk lists directly, form a linear
-extension of the downset lattice.
+extension of the downset lattice.  The walk for sigma also gives the order
+for sigma_bar, sorted by the downsets' masks over sigma_bar positions.
 """
 
 from __future__ import annotations
@@ -35,14 +36,11 @@ class LatticeExtension(NamedTuple):
         return len(self.order)
 
 
-def _as_tuples(walk: list) -> dict:  # mask -> sorted tuple, once per downset
-    return {D: tuple(j + 1 for j in _bits(D)) for _, D in walk}
+def _downsets(walk: list) -> tuple:  # an antichain walk's D as sorted tuples
+    return tuple(tuple(j + 1 for j in _bits(D)) for _, D, _ in walk)
 
 
-def _extension(walk: list, tuples: dict) -> LatticeExtension:
-    """The LatticeExtension of the downsets of an antichain walk's (A, D)
-    pairs, read through a mask -> tuple map."""
-    order = tuple(tuples[D] for _, D in walk)
+def _extension(order: tuple) -> LatticeExtension:
     return LatticeExtension(order, {d: p for p, d in enumerate(order, start=1)})
 
 
@@ -51,8 +49,7 @@ def build_revlex_extension(
 ) -> LatticeExtension:
     """All downsets of P in the order revlex_less gives for sigma."""
     _conjugate_ranks(P, sigma)  # raises unless sigma extends P
-    walk = list(_antichains(P, cap, sigma))
-    return _extension(walk, _as_tuples(walk))
+    return _extension(_downsets(list(_antichains(P, cap, sigma))))
 
 
 def _common_ground(L1: LatticeExtension, L2: LatticeExtension) -> None:
@@ -61,20 +58,28 @@ def _common_ground(L1: LatticeExtension, L2: LatticeExtension) -> None:
 
 
 def _inversions(seq: list) -> int:
-    """Pairs i < j with seq[i] > seq[j], for seq a permutation of 1..len(seq),
-    counted with a Fenwick tree over the values seen so far."""
-    n = len(seq)
-    tree = [0] * (n + 1)
-    inv = 0
-    for seen, x in enumerate(seq):
-        inv += seen
-        j = x
-        while j:  # less the earlier values at most x
-            inv -= tree[j]
-            j &= j - 1
-        while x <= n:
-            tree[x] += 1
-            x += x & -x
+    """Pairs i < j with seq[i] > seq[j], for seq distinct non-negative
+    integers (the 0-based or the 1-based positions of an order).
+
+    The values fall into blocks of 4096 by their high bits.  A pair across
+    two blocks is counted, when its later member comes, from the counts of
+    the values seen so far in each higher block; a pair inside a block is
+    counted from that block's bitset of the offsets seen so far, whose bits
+    above the later member's offset are the earlier, larger values."""
+    top = max(seq, default=0) >> 12
+    inv, parts = 0, [seq]
+    if top:
+        counts, parts = [0] * (top + 1), [[] for _ in range(top + 1)]
+        for x in seq:
+            b = x >> 12
+            inv += sum(counts[b + 1:])
+            counts[b] += 1
+            parts[b].append(x & 4095)
+    for part in parts:
+        seen = 0
+        for r in part:
+            inv += (seen >> r).bit_count()
+            seen |= 1 << r
     return inv
 
 
@@ -88,17 +93,27 @@ def reversal_distance(L1: LatticeExtension, L2: LatticeExtension) -> int:
 
 
 def _revlex_pair(P: Poset, cap: int, r: Realizer2D) -> tuple:
-    """The antichain walks of r.sigma and r.sigma_bar as lists of (A, D)
-    masks: the downsets D in the orders L_sigma and L_sigma_bar, each with
-    its maxima A.  The antichain count, which is the downset count, is
-    checked against cap before any enumeration."""
+    """L_sigma and L_sigma_bar from one antichain walk in r.sigma order: the
+    walk as a list of (A, D, K), each downset D of L_sigma with its maxima A
+    and K, D as a mask over sigma_bar positions, and the walk's indices in
+    the order L_sigma_bar, which is the numeric order of K (revlex: the
+    sigma_bar-last element of a symmetric difference decides).  The
+    downset count is checked against cap before any enumeration."""
     _conjugate_ranks(P, r.sigma_bar)  # raises unless sigma_bar extends P
     eng = _Engine(_ranks(P, r.sigma))  # sbar[p]: the conjugate rank of x_p
     if [r.sigma[p - 1] for p in _placed(eng.sbar)] != list(r.sigma_bar):
         raise ValueError("sigma_bar is not the conjugate of sigma")
     if 1 + sum(eng.ends) > cap:
         raise CapExceeded(f"more than {cap} downsets")
-    return list(_antichains(P, cap, r.sigma)), list(_antichains(P, cap, r.sigma_bar))
+    # kclose[p]: x_p's down-closure over sigma_bar positions, from one sweep:
+    # sigma and sigma_bar realize P, so x_q <= x_p iff q <= p, sbar[q] <= sbar[p]
+    kclose, seen = [], 0
+    for s in eng.sbar:
+        kclose.append(seen & (1 << s) - 1 | 1 << s)
+        seen |= 1 << s
+    walk = list(_antichains(P, cap, r.sigma, kclose))
+    masks = [K for _, _, K in walk]
+    return walk, sorted(range(len(walk)), key=masks.__getitem__)
 
 
 def diametral_pair(P: Poset, cap: int = DEFAULT_CAP,
@@ -108,9 +123,9 @@ def diametral_pair(P: Poset, cap: int = DEFAULT_CAP,
     extension graph of the downset lattice.  More than cap downsets raise
     CapExceeded before any is listed; an r that is not a realizer of P
     raises NotALinearExtension, SeparatingExtension or ValueError."""
-    w1, w2 = _revlex_pair(P, cap, realizer(P) if r is None else r)
-    tuples = _as_tuples(w1)
-    return _extension(w1, tuples), _extension(w2, tuples)
+    walk, xs = _revlex_pair(P, cap, realizer(P) if r is None else r)
+    order = _downsets(walk)
+    return _extension(order), _extension(tuple(order[x] for x in xs))
 
 
 def dominance_coordinates(L1: LatticeExtension, L2: LatticeExtension) -> dict:

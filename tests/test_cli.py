@@ -595,17 +595,18 @@ def test_wide_middle_layer_exits_three_within_memory(tmp_path):
         assert "cap exceeded" in done.stderr
 
 
-def test_diametral_walks_the_downsets_once_per_order(tmp_path, capsys, monkeypatch):
+def test_diametral_walks_the_downsets_once(tmp_path, capsys, monkeypatch):
     revlex = importlib.import_module("posetkit.revlex")
     walk, calls = revlex._antichains, []
     monkeypatch.setattr(revlex, "_antichains",
-                        lambda P, cap, order: calls.append(tuple(order)) or walk(P, cap, order))
+                        lambda P, cap, order, *marks: calls.append(tuple(order))
+                        or walk(P, cap, order, *marks))
     P = random_two_dim(9, random.Random(4))
     r = pk.realizer(P)
     path = _poset_file(tmp_path, P)
     code, out, err = _run(capsys, ["diametral", path])
     assert code == 0
-    assert calls == [r.sigma, r.sigma_bar]
+    assert calls == [r.sigma]  # extension_2 is the same walk sorted
     result = _payload(out)["result"]
     for key, sigma in (("extension_1", r.sigma), ("extension_2", r.sigma_bar)):
         want = pk.build_revlex_extension(P, sigma).order

@@ -5,7 +5,8 @@ non-separating sigmas), the class-sum bound (tight in dimension two) and
 the reversal distance of the revlex diametral pair must agree.
 
 Pinned: on prime orders of width 2 to 4 and hundreds of points, the
-engine's led equals the reversal distance of the two revlex walks.
+engine's led equals the reversal distance of the two revlex walks, and
+the distance diametral reports from its one walk.
 
 Metamorphic: at sizes no oracle reaches, the diameter is invariant under
 duality (D_{P^op} is D_P turned upside down), additive over ordinal sums
@@ -19,8 +20,10 @@ from math import comb
 import posetkit as pk
 from posetkit import led as led_module
 from posetkit.led import _led_sums
+from posetkit.poset import _antichains
 from posetkit.revlex import _inversions, _revlex_pair
 
+import reference_inversions
 from conftest import dual, random_extension, random_two_dim
 
 
@@ -74,10 +77,10 @@ def runs_order(n, w, rng):
 
 def test_engine_matches_the_revlex_walks_on_prime_orders_of_hundreds(monkeypatch):
     # the paper's diametral construction: the revlex orders of sigma and
-    # sigma_bar, listed by the antichain walk, whose reversal distance is
-    # counted by the Fenwick tree; it shares with the engine only `ends`
-    # (the downset count that _revlex_pair checks against its cap) and the
-    # realizer
+    # sigma_bar, each listed by its own antichain walk, whose reversal
+    # distance the reference Fenwick tree counts; it shares with the engine
+    # only the realizer.  The production distance (one walk in sigma order,
+    # sorted by sigma_bar masks, counted by bitsets) must equal both
     blocks = []
     engine_sums = led_module._engine_sums
     monkeypatch.setattr(led_module, "_engine_sums",
@@ -86,9 +89,10 @@ def test_engine_matches_the_revlex_walks_on_prime_orders_of_hundreds(monkeypatch
     for w, n in ((2, 200), (2, 400), (3, 200), (3, 300), (4, 150)):
         P = runs_order(n, w, rng)
         r = pk.realizer(P)
-        w1, w2 = _revlex_pair(P, 10 ** 6, r)
-        at = {D: i + 1 for i, (_, D) in enumerate(w1)}
-        distance = _inversions([at[D] for _, D in w2])
+        at = {D: i for i, (_, D, _) in enumerate(_antichains(P, 10 ** 6, r.sigma), start=1)}
+        L2 = _antichains(P, 10 ** 6, r.sigma_bar)
+        distance = reference_inversions.inversions([at[D] for _, D, _ in L2])
+        assert _inversions(_revlex_pair(P, 10 ** 6, r)[1]) == distance, (w, n)
         blocks.clear()
         Q = dual(P)
         leds = [_led_sums(P, r.sigma)[4], _led_sums(P, r.sigma_bar)[4],

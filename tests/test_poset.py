@@ -396,9 +396,18 @@ def test_antichain_walk_in_any_order_lists_each_antichain_once():
         if any(P.less(b, a) for a, b in itertools.combinations(order, 2)):
             tried += 1
         walk = list(_antichains(P, len(want), order))
-        assert sorted(A for A, _ in walk) == want
-        for A, D in walk:
+        assert sorted(A for A, _, _ in walk) == want
+        for A, D, M in walk:
             assert D == _mask_of(P.n, pk.downset_of(P, [j + 1 for j in _bits(A)]))
+            assert M == 0  # no marks given
+        # with marks, M is their union over the positions of A's members
+        marks = [rng.getrandbits(8) for _ in order]
+        at = {e - 1: p for p, e in enumerate(order)}
+        for A, _, M in _antichains(P, len(want), order, marks):
+            want_M = 0
+            for j in _bits(A):
+                want_M |= marks[at[j]]
+            assert M == want_M
         with pytest.raises(pk.CapExceeded):
             list(_antichains(P, len(want) - 1, order))
     assert tried > 20
@@ -416,7 +425,7 @@ def test_antichain_walk_in_realizer_order_is_colex_and_capped_exactly():
         for order in (r.sigma, r.sigma_bar):
             pos = {e: p for p, e in enumerate(order)}
             colex = sorted(brute_antichains(P), key=lambda A: sum(1 << pos[e] for e in A))
-            want = [(_mask_of(P.n, A), _mask_of(P.n, pk.downset_of(P, A))) for A in colex]
+            want = [(_mask_of(P.n, A), _mask_of(P.n, pk.downset_of(P, A)), 0) for A in colex]
             assert list(_antichains(P, len(want), order)) == want
             with pytest.raises(pk.CapExceeded):
                 list(_antichains(P, len(want) - 1, order))
@@ -491,8 +500,8 @@ def test_downset_covers_match_the_lattice_covers():
         want = sorted((dl.downsets[a - 1], dl.downsets[b - 1])
                       for a, b in pk.cover_pairs(dl.lattice))
         walk = list(_antichains(P, pk.DEFAULT_CAP, random_extension(P, rng)))
-        at = {D: i for i, (_, D) in enumerate(walk)}
-        covers = [(D ^ 1 << a, D) for A, D in walk for a in _bits(A)]
+        at = {D: i for i, (_, D, _) in enumerate(walk)}
+        covers = [(D ^ 1 << a, D) for A, D, _ in walk for a in _bits(A)]
         assert all(at[C] < at[D] for C, D in covers)
         tuples = {D: tuple(j + 1 for j in _bits(D)) for D in at}
         assert sorted((tuples[C], tuples[D]) for C, D in covers) == want

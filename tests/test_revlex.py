@@ -11,8 +11,9 @@ import pytest
 
 import posetkit as pk
 from posetkit.poset import _bits
-from posetkit.revlex import _revlex_pair
+from posetkit.revlex import _inversions, _revlex_pair
 
+import reference_inversions
 from conftest import (
     all_posets_upto_iso,
     as_lattice_extension,
@@ -173,6 +174,48 @@ def test_reversal_distance_mismatch():
             pk.reversal_distance(L1, pk.LatticeExtension(L1.order, index))
 
 
+def _brute_inversions(seq):
+    return sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+
+
+def test_inversions_match_a_brute_count_and_the_fenwick_tree():
+    rng = random.Random(42)
+    for n in range(8):
+        for seq in itertools.permutations(range(n)):
+            want = _brute_inversions(seq)
+            assert _inversions(list(seq)) == want == reference_inversions.inversions(
+                [x + 1 for x in seq])
+    # distinct values spread over several 4096-value blocks
+    for _ in range(50):
+        seq = rng.sample(range(rng.choice((4096, 4097, 5 * 4096))), rng.randint(0, 300))
+        assert _inversions(seq) == _brute_inversions(seq)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4095, 4096, 4097, 3 * 4096 + 1])
+def test_inversions_at_the_block_edges(n):
+    # the values 0..n-1 and 1..n, as revlex indices and reversal_distance
+    # positions come, both fill up to the edges of the 4096-value blocks
+    rng = random.Random(n)
+    seqs = [list(range(n)), list(range(n - 1, -1, -1))]
+    seqs += [rng.sample(range(n), n) for _ in range(3)]
+    for seq in seqs:
+        want = reference_inversions.inversions([x + 1 for x in seq])
+        assert _inversions(seq) == _inversions([x + 1 for x in seq]) == want
+    assert [_inversions(seq) for seq in seqs[:2]] == [0, n * (n - 1) // 2]
+
+
+def test_inversions_of_a_large_permutation():
+    n = 1 << 17
+    seq = random.Random(17).sample(range(1, n + 1), n)
+    assert _inversions(seq) == reference_inversions.inversions(seq)
+
+
+def test_reference_inversions_refuses_a_non_permutation():
+    for seq in ([0, 1], [1, 1], [2, 3]):
+        with pytest.raises(ValueError):
+            reference_inversions.inversions(seq)
+
+
 # ---------------------------------------------------------------------------
 # diametral_pair
 
@@ -197,7 +240,7 @@ def test_diametral_pair_matches_brute_diameter():
         assert pk.reversal_distance(L1, L2) == diam
 
 
-def test_diametral_pair_walks_once_per_order(monkeypatch):
+def test_diametral_pair_walks_the_downsets_once(monkeypatch):
     rng = random.Random(12)
     posets = [pk.antichain_poset(4), pk.chain_union([3, 2])]
     posets += [random_two_dim(n, rng) for n in range(1, 10)]
@@ -209,12 +252,13 @@ def test_diametral_pair_walks_once_per_order(monkeypatch):
     revlex = importlib.import_module("posetkit.revlex")
     walk, calls = revlex._antichains, []
     monkeypatch.setattr(revlex, "_antichains",
-                        lambda P, cap, order: calls.append(tuple(order)) or walk(P, cap, order))
+                        lambda P, cap, order, *marks: calls.append(tuple(order))
+                        or walk(P, cap, order, *marks))
     for P, pair in zip(posets, expected):
         r = pk.realizer(P)
         for given in (None, r):
             assert pk.diametral_pair(P, r=given) == pair
-            assert calls == [r.sigma, r.sigma_bar]
+            assert calls == [r.sigma]  # L_sigma_bar is the same walk sorted
             calls.clear()
 
 
@@ -259,17 +303,20 @@ def test_revlex_orders_equal_a_comparator_sort():
 
 
 def test_diametral_pair_stays_small_on_a_long_chain():
-    # 4097 downsets of 4096 bits: each order is one walk and no table, so
-    # the peak is the two listings and the engine, not per-byte tables
+    # 4097 downsets of 4096 bits: one walk that carries each downset's
+    # sigma_bar mask, and no table, so the peak is the one listing with its
+    # masks, the closure masks and the engine, not per-byte tables
     P = pk.chain(4096)
     r = pk.Realizer2D(tuple(P.elements()), tuple(P.elements()))
     tracemalloc.start()
     try:
-        w1, w2 = _revlex_pair(P, pk.DEFAULT_CAP, r)
+        walk, xs = _revlex_pair(P, pk.DEFAULT_CAP, r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert [D for _, D in w1] == [(1 << k) - 1 for k in range(4097)] == [D for _, D in w2]
+    downsets = [(1 << k) - 1 for k in range(4097)]
+    assert [D for _, D, _ in walk] == downsets == [K for _, _, K in walk]
+    assert xs == list(range(4097))
     assert peak < 16 << 20
 
 

@@ -1,9 +1,10 @@
 """The command line at scale: orders at MAX_ELEMENTS, a file far larger than
-its poset, drawings of 2^12 and 2^15 downsets, forcing inside a 1000-point
-module, and one engine on a 400-element prime order with its dual.  Each
-runs through `python -m posetkit.cli` in a child process with a time bound
-and, where the test is about memory, a cap on the child's address space (as
-`ulimit -v` sets it)."""
+its poset, drawings of 2^12 and 2^15 downsets, the distance of 2^16
+downsets, forcing inside a 1000-point module, and one engine on a
+400-element prime order with its dual.  Each runs through `python -m
+posetkit.cli` in a child process with a time bound and, where the test is
+about memory, a cap on the child's address space (as `ulimit -v` sets
+it)."""
 
 import json
 import os
@@ -123,6 +124,16 @@ def test_antichain_drawing(tmp_path, k):
     # compared as booleans: pytest's diff of two texts this long takes minutes
     dump, same = done.stdout == json.dumps(report, sort_keys=True, indent=2) + "\n", svg == want
     assert dump and same, (dump, same)
+
+
+def test_antichain_distance_across_value_blocks(tmp_path):
+    # the Boolean lattice 2^16 without a drawing: its 65 536 downsets make
+    # 16 blocks of 4096 values, so the reported distance counts most of its
+    # pairs across blocks
+    path = tmp_path / "antichain.poset"
+    path.write_text("poset 16\n")
+    done = _cli(["diametral", str(path)], timeout=60)
+    assert _result(done)["distance"] == str(pk.led_boolean(16))
 
 
 def test_module_of_a_thousand_points(tmp_path):
