@@ -9,7 +9,8 @@ A plain command line, a command then its exact flags, flag values and
 positionals, is parsed straight from the grammar table `_COMMANDS` and
 builds no parser.  Every other line (help, abbreviations, = forms, --, a
 word that starts with "-", a missing or extra word, a bad value) goes to
-argparse's parser with every command, which prints the help and errors.
+argparse's parser with every command, which prints the help and errors;
+words left over after a command are reported with that command's usage.
 """
 
 from __future__ import annotations
@@ -123,8 +124,8 @@ def _run_diametral(args) -> tuple:
     members = _bit_sums([",\n    " + str(e) for e in P.elements()])
     texts = _Json("[" + s[1:] + "\n  ]" if (s := members(D)) else "[]" for _, D, _ in walk)
     result = {
-        "sigma": list(r.sigma),
-        "sigma_bar": list(r.sigma_bar),
+        "sigma": r.sigma,
+        "sigma_bar": r.sigma_bar,
         "distance": _dec(_inversions(xs)),  # inverting keeps inversions
         "extension_1": texts,
         "extension_2": _Json(texts[x] for x in xs),
@@ -163,27 +164,16 @@ def _run_oracle(args) -> tuple:
     from .oracle import critical_pairs, enumerate_classes, le_graph_diameter
 
     P, digest = _load(args.file)
+    # json writes tuples, NamedTuples among them, as arrays
     if args.mode == "diameter":
         diam, pairs = le_graph_diameter(P, args.cap)
-        result = {
-            "diameter": _dec(diam),
-            "diametral_pairs": [[list(a), list(b)] for a, b in pairs],
-        }
+        result = {"diameter": _dec(diam), "diametral_pairs": pairs}
     elif args.mode == "classes":
-        classes = enumerate_classes(P, args.cap)
-        result = {
-            "classes": [
-                {
-                    "D": list(c.D),
-                    "I": list(c.I),
-                    "components": [list(k) for k in c.components],
-                    "size": _dec(len(c.pairs)),
-                }
-                for c in classes
-            ]
-        }
+        result = {"classes": [{"D": c.D, "I": c.I, "components": c.components,
+                               "size": _dec(len(c.pairs))}
+                              for c in enumerate_classes(P, args.cap)]}
     else:
-        result = {"critical_pairs": [[c.x, c.y] for c in critical_pairs(P)]}
+        result = {"critical_pairs": critical_pairs(P)}
     return digest, result
 
 
@@ -193,7 +183,8 @@ def _run_count_antichains(args) -> tuple:
     table = count_table(P, sigma)
     return digest, {
         "total": _dec(table.total),
-        "per_element": {str(e): _dec(v) for e, v in sorted(table.per_element.items())},
+        # sort_keys orders these str keys as text ("10" before "2")
+        "per_element": {str(e): _dec(v) for e, v in table.per_element.items()},
     }
 
 
@@ -228,7 +219,8 @@ _COMMANDS = {
 
 def _build_parser():
     """The parser with every command: the top-level help lists them, and a
-    missing or unknown command is reported by the dest, `command`."""
+    missing or unknown command is reported by the dest, `command`.  Its
+    `commands` maps each command to its own parser."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -247,6 +239,7 @@ def _build_parser():
         for flag, options in arguments:
             s.add_argument(flag, **options)
         s.set_defaults(run=run)
+    p.commands = sub.choices
     return p
 
 
@@ -293,8 +286,16 @@ def _plain(argv: list):
 
 
 def _parse(argv: list):
-    """The namespace of argv: _plain's, else the full parser's."""
-    return _plain(argv) or _build_parser().parse_args(argv)
+    """The namespace of argv: _plain's, else the full parser's.  Words left
+    over are reported with the usage of the command that argv starts with,
+    if it starts with one, else with the full usage."""
+    if args := _plain(argv):
+        return args
+    parser = _build_parser()
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        parser.commands.get(argv[0], parser).error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:

@@ -17,8 +17,8 @@ from itertools import accumulate, combinations, islice
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import ContractViolation, IndexOutOfRange, SeparatingExtension
-from .poset import Poset, _antichains, component_masks, induced
+from .errors import ContractViolation, SeparatingExtension
+from .poset import Poset, _antichains, _check_index, component_masks, induced
 from .realizer import _conjugate_ranks, realizer
 
 
@@ -292,12 +292,6 @@ def gamma(P: Poset, sigma: Sequence[int]) -> int:
     return _Engine(_ranks(P, sigma)).gamma
 
 
-def _check_pos(n: int, *positions: int) -> None:
-    for p in positions:
-        if not isinstance(p, int) or isinstance(p, bool) or not 1 <= p <= n:
-            raise IndexOutOfRange(f"sigma position {p!r} not in 1..{n}")
-
-
 def restricted_subposets(P: Poset, sigma: Sequence[int], i: int, k: int, l: int):
     """The three side posets of the counting recurrences, for 1-based sigma
     positions i, k, l:
@@ -308,7 +302,8 @@ def restricted_subposets(P: Poset, sigma: Sequence[int], i: int, k: int, l: int)
     - right: positions after l whose element is incomparable to x_k.
     """
     _conjugate_ranks(P, sigma)  # raises unless sigma extends P
-    _check_pos(P.n, i, k, l)
+    for p in (i, k, l):
+        _check_index(P.n, p, "sigma position")
     sig = tuple(sigma)
     xi, xk, xl = sig[i - 1], sig[k - 1], sig[l - 1]
     mid = []
@@ -325,7 +320,8 @@ def restricted_subposets(P: Poset, sigma: Sequence[int], i: int, k: int, l: int)
 def _row(P: Poset, sigma: Sequence[int], k: int, l: int) -> tuple:
     """Rows d1[k - 1] and dd[k - 1], k and l checked; the tables stop there."""
     eng = _Engine(_ranks(P, sigma))
-    _check_pos(eng.n, k, l)
+    for p in (k, l):
+        _check_index(eng.n, p, "sigma position")
     return next(islice(eng.tables(), k - 1, None))[:2]
 
 

@@ -40,9 +40,9 @@ DEFAULT_CAP = 1 << 20
 MAX_ELEMENTS = 4096
 
 
-def _check_index(n: int, e: int) -> None:
+def _check_index(n: int, e: int, noun: str = "element") -> None:
     if not isinstance(e, int) or isinstance(e, bool) or not 1 <= e <= n:
-        raise IndexOutOfRange(f"element {e!r} not in 1..{n}")
+        raise IndexOutOfRange(f"{noun} {e!r} not in 1..{n}")
 
 
 def _mask_of(n: int, elems: Iterable[int]) -> int:

@@ -100,31 +100,6 @@ def shuffled_chain_union(lengths, rng):
     return pk.poset_from_relations(len(ids), covers)
 
 
-def random_series_parallel(n, rng):
-    """A random series-parallel order on n points with shuffled ids, built
-    from a random series/parallel tree, never by decomposing a poset.  Each
-    inner node cuts its points into 2-4 subtrees and puts them side by side
-    (a disjoint union) or one above the other (an ordinal sum), the kinds
-    alternating down the tree, so unions nest inside sums and sums inside
-    unions.  The leaves are single points."""
-    ids = list(range(1, n + 1))
-    rng.shuffle(ids)
-    pairs = []
-
-    def build(points, series):
-        if len(points) == 1:
-            return
-        cuts = sorted(rng.sample(range(1, len(points)), rng.randint(1, min(3, len(points) - 1))))
-        parts = [points[a:b] for a, b in zip([0, *cuts], [*cuts, len(points)])]
-        for part in parts:
-            build(part, not series)
-        if series:
-            pairs.extend((a, b) for lo, hi in zip(parts, parts[1:]) for a in lo for b in hi)
-
-    build(ids, rng.random() < 0.5)
-    return pk.poset_from_relations(n, pairs)
-
-
 def separates(P, order):
     """The literal definition: some u < v has an x between them in order
     that is incomparable to both."""

@@ -749,26 +749,20 @@ def test_verbose_timing_goes_to_stderr(capsys):
     assert "elapsed_ms" not in out
 
 
-def test_main_prints_what_the_parser_with_every_command_prints(tmp_path, capsys):
+def test_main_prints_what_the_parser_with_every_command_prints(tmp_path, capsys, monkeypatch):
     # main parses a plain command line from the grammar table alone: its
     # usage, help, errors, exit codes and namespaces must be those of the
-    # parser with every command
+    # parser with every command, but for words left over after a command
     f = _poset_file(tmp_path, pk.chain(2))
     svg = str(tmp_path / "out.svg")
     for argv in ([], ["nope"], ["-h"], ["-hx"], ["--verbose"], ["nope", "-h"],
                  ["--", "led-bool", "3"], ["--verbose=1", "led-downset", f],
-                 # --verbose after a command, -h after other words
-                 ["led-bool", "3", "--verbose"], ["led-downset", "--verbose", f],
+                 # words left over on a line that does not start with a command
+                 ["--bogus", "led-bool", "3"], ["--verbose", "led-bool", "3", "4"],
+                 # -h after other words
                  ["led-downset", f, "--verbose", "-h"], ["led-bool", "-h", "3"],
                  ["led-downset", "-hx"], ["led-chains", "2,1", "-h"],
                  ["count-antichains", "-h", f],
-                 # an unknown option before the file, words left over
-                 ["led-downset", "--bogus", f], ["led-downset", "-x", f],
-                 ["led-downset", f, "--bogus"], ["led-downset", f, "extra"],
-                 ["led-bool", "3", "4"], ["oracle", f, "critical", "x"],
-                 # -- in every position
-                 ["count-antichains", f, "--", "x"], ["led-downset", f, "--", "--breakdown"],
-                 ["led-downset", "--", "--", f],
                  # a missing argument for each command
                  ["led-bool"], ["led-downset"], ["diametral"], ["diametral", "--svg", svg],
                  ["diametral", f, "--svg"], ["diametral", f, "--scale"], ["oracle"],
@@ -784,6 +778,28 @@ def test_main_prints_what_the_parser_with_every_command_prints(tmp_path, capsys)
                 parse(argv)
             seen.append((exc.value.code, *capsys.readouterr()))
         assert seen[0] == seen[1], argv
+    # words left over after a command get that command's usage
+    commands = cli._build_parser().commands
+    for argv, extra in ((["led-bool", "3", "--verbose"], "--verbose"),
+                        (["led-downset", "--verbose", f], "--verbose"),
+                        (["led-downset", "--bogus", f], "--bogus"),
+                        (["led-downset", "-x", f], "-x"),
+                        (["led-downset", f, "--bogus"], "--bogus"),
+                        (["led-downset", f, "extra"], "extra"),
+                        (["led-bool", "3", "4"], "4"),
+                        (["oracle", f, "critical", "x"], "x"),
+                        (["diametral", f, "x", "--bogus"], "x --bogus"),
+                        (["count-antichains", f, "--", "x"], "x"),
+                        (["led-downset", f, "--", "--breakdown"], "--breakdown"),
+                        (["led-downset", "--", "--", f], f)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        usage = commands[argv[0]].format_usage()
+        error = f"posetkit {argv[0]}: error: unrecognized arguments: {extra}\n"
+        assert (exc.value.code, *capsys.readouterr()) == (1, "", usage + error), argv
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal width
+    assert commands["led-downset"].format_usage() == (
+        "usage: posetkit led-downset [-h] [--breakdown] [--upper-bound-only] file\n")
     readme = Path(__file__).resolve().parents[1] / "README.md"
     lines = [line.split("#")[0].split()[1:] for line in readme.read_text().splitlines()
              if line.startswith("posetkit ")]

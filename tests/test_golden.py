@@ -92,7 +92,7 @@ def _ops() -> list:
         ("oracle-cap", ["oracle", "{file}", "diameter", "--cap", "2"], n),
         ("upper-bound-cap", ["led-downset", "{file}", "--upper-bound-only"], b"poset 1100\n"),
         # lines that argparse parses: help, an abbreviation, an = form, --, a
-        # negative number, a bad value and a missing word
+        # negative number, a bad value, a missing word and words left over
         ("parse-help", ["led-downset", "-h"], None),
         ("parse-abbreviation", ["led-downset", "--break", "{file}"], n),
         ("parse-equals", ["diametral", "{file}", "--svg={svg}"], n),
@@ -101,6 +101,8 @@ def _ops() -> list:
         ("parse-negative", ["led-bool", "-3"], None),
         ("parse-double-dash", ["led-downset", "--", "{file}"], n),
         ("parse-missing-file", ["count-antichains"], None),
+        ("parse-extra-word", ["led-downset", "{file}", "extra"], n),
+        ("parse-extra-option", ["diametral", "{file}", "--bogus"], n),
     ]
     return ops + _reader_ops()
 

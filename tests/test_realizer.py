@@ -13,12 +13,12 @@ from conftest import (
     all_posets_upto_iso,
     random_extension,
     random_not_two_dim,
-    random_series_parallel,
     random_two_dim,
     separates,
     shuffled_chain_union,
 )
 from reference_orientation import reference_orientation, reference_realizer
+from reference_series_parallel import random_series_parallel
 
 
 def brute_has_transitive_orientation(P):
@@ -260,7 +260,7 @@ def test_realizer_matches_reference_on_series_parallel_orders():
     # reference forces the whole incomparability graph
     rng = random.Random(23)
     for n in (20, 30, 40, 50, 60, 80, 100, 120, 150, 180, 240, 300):
-        _assert_matches_reference(random_series_parallel(n, rng))
+        _assert_matches_reference(random_series_parallel(n, rng).poset)
 
 
 def test_realizer_on_the_widest_and_tallest_inputs():
